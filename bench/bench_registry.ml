@@ -59,9 +59,9 @@ let all =
     {
       name = "load-modes";
       doc =
-        "index cold start: v3 copy reconstruction vs v4 copy vs v4 mmap \
-         adoption at 1/32/128 Mbp (probe answers cross-checked; appends to \
-         BENCH_fmindex.json; --size narrows to one size)";
+        "index cold start: v4 copy load vs v4 mmap adoption at 1/32/128 Mbp \
+         (probe answers cross-checked; appends to BENCH_fmindex.json; --size \
+         narrows to one size)";
       run =
         (fun c -> Load_modes.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());
     };

@@ -1,7 +1,7 @@
-(* Cold-start benchmark for the index load paths: format-v3 copy load
-   (parse + O(n) reconstruction), format-v4 copy load (parse + CRC sweep
-   + buffer adoption) and format-v4 mmap adoption (header validation
-   only; the kernel pages the sections in on first touch).
+(* Cold-start benchmark for the two index load modes: copy load (parse +
+   CRC sweep + structural recount + buffer adoption) and mmap adoption
+   (header and geometry validation only; the kernel pages the sections
+   in on first touch).
 
    The metric that matters is daemon cold start: how long between
    [kmm serve -i ref.fmi] and the first answered query.  So besides the
@@ -20,11 +20,10 @@ type row = {
   size : int;
   build_s : float;
   file_bytes : int;
-  v3_copy_s : float;
   v4_copy_s : float;
   v4_mmap_s : float;
   v4_mmap_probe_s : float;
-  speedup : float;  (* v3 copy / v4 mmap, the PR acceptance number *)
+  speedup : float;  (* v4 copy / v4 mmap *)
 }
 
 let probe_patterns ~st text =
@@ -58,20 +57,15 @@ let bench_one ~st ~reps size =
     (Bench_util.fmt_time build_s);
   let probes = probe_patterns ~st text in
   let expected = List.map (fun p -> Fmindex.Fm_index.find_all fm p) probes in
-  let tmp suffix =
-    Filename.temp_file "kmm-load-bench" suffix
-  in
-  let v3_path = tmp ".v3.fmi" and v4_path = tmp ".v4.fmi" in
+  let v4_path = Filename.temp_file "kmm-load-bench" ".v4.fmi" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ v3_path; v4_path ])
+    ~finally:(fun () -> if Sys.file_exists v4_path then Sys.remove v4_path)
     (fun () ->
-      Fmindex.Fm_index.save_v3 fm v3_path;
       Fmindex.Fm_index.save fm v4_path;
       let file_bytes = (Unix.stat v4_path).Unix.st_size in
-      let v3_copy_s, _ =
-        time_load ~reps ~probes ~expected (fun () -> Fmindex.Fm_index.load v3_path)
-      in
+      (* An untimed warm-up round first, so the first mode timed does not
+         also pay for growing the process heap. *)
+      ignore (time_load ~reps ~probes ~expected (fun () -> Fmindex.Fm_index.load v4_path));
       let v4_copy_s, _ =
         time_load ~reps ~probes ~expected (fun () ->
             Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy v4_path)
@@ -84,16 +78,15 @@ let bench_one ~st ~reps size =
         size;
         build_s;
         file_bytes;
-        v3_copy_s;
         v4_copy_s;
         v4_mmap_s;
         v4_mmap_probe_s;
-        speedup = v3_copy_s /. v4_mmap_s;
+        speedup = v4_copy_s /. v4_mmap_s;
       })
 
 let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
   let sizes = match size with Some s -> [ s ] | None -> default_sizes in
-  Bench_util.section "load-modes: v3 copy vs v4 copy vs v4 mmap cold start";
+  Bench_util.section "load-modes: v4 copy vs v4 mmap cold start";
   Bench_util.note
     "per mode: best of 3 bare loads, plus a 16-query probe batch (mmap pays \
      its page faults there); every probe cross-checked against the built index";
@@ -104,13 +97,12 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
   in
   Bench_util.table
     ~header:
-      [ "size"; "file"; "v3 copy"; "v4 copy"; "v4 mmap"; "mmap probe"; "v3/mmap" ]
+      [ "size"; "file"; "v4 copy"; "v4 mmap"; "mmap probe"; "copy/mmap" ]
     (List.map
        (fun r ->
          [
            Bench_util.fmt_count r.size;
            Bench_util.fmt_count r.file_bytes;
-           Bench_util.fmt_time r.v3_copy_s;
            Bench_util.fmt_time r.v4_copy_s;
            Bench_util.fmt_time r.v4_mmap_s;
            Bench_util.fmt_time r.v4_mmap_probe_s;
@@ -130,10 +122,10 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_fmindex.json") ?size ?(seed = 42) () =
          (List.map
             (fun r ->
               Printf.sprintf
-                "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\"v3_copy_s\":%.4f,\
+                "{\"size\":%d,\"file_bytes\":%d,\"build_s\":%.4f,\
                  \"v4_copy_s\":%.4f,\"v4_mmap_s\":%.6f,\"v4_mmap_probe_s\":%.6f,\
-                 \"speedup_v3_over_mmap\":%.1f}"
-                r.size r.file_bytes r.build_s r.v3_copy_s r.v4_copy_s r.v4_mmap_s
+                 \"speedup_copy_over_mmap\":%.1f}"
+                r.size r.file_bytes r.build_s r.v4_copy_s r.v4_mmap_s
                 r.v4_mmap_probe_s r.speedup)
             rows))
   in

@@ -114,8 +114,7 @@ let mmap_arg =
           "Memory-map a prebuilt --index instead of copying it to the heap: \
            cold start skips the O(n) payload verification and the OS shares \
            the pages across processes.  Run kmm verify when integrity must \
-           be proven.  Ignored without --index (and for v1-v3 files, which \
-           load by copy).")
+           be proven.  Ignored without --index.")
 
 (* --- generate ------------------------------------------------------- *)
 
@@ -481,10 +480,10 @@ let verify_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Loads the index by copy, checking magic, version, header sanity, \
+             "Loads the index by copy, checking magic, version (format v4 is the \
+              only one read; any other version exits 4), header sanity, \
               per-section CRC-32 checksums, the whole-file trailer and the \
-              structural recount (format v4; v1-v3 files are validated by their \
-              own formats' checks) — everything an mmap load deliberately skips. \
+              structural recount — everything an mmap load deliberately skips. \
               Given a shard manifest, validates the manifest (header CRC, shard \
               geometry) and then every shard file against both the manifest's \
               recorded CRC-32 and the shard's own internal checks.  Prints a \

@@ -67,7 +67,7 @@ val default_subjects : unit -> subject list
     bidirectional index from the case's raw text and runs the optimum
     search schemes executor ({!Oss.search}) on every budget, a
     save/load roundtrip (current on-disk format)
-    queried through the M-tree engine, and an [fm-v3-corruption]
+    queried through the M-tree engine, and an [fm-corruption]
     subject that serializes the index and verifies that each of a
     pseudo-random battery of image corruptions (bit flips, truncations,
     ENOSPC prefixes) is either rejected with a typed error or decodes

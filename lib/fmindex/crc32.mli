@@ -1,6 +1,6 @@
 (** CRC-32 (IEEE 802.3, polynomial [0xEDB88320], reflected, init/xorout
     [0xFFFFFFFF]) — the checksum guarding every section of the on-disk
-    index format v3.
+    index format v4.
 
     The implementation is the standard byte-at-a-time table walk; values
     are plain non-negative [int]s in [0, 2^32) (OCaml ints are 63-bit).

@@ -111,10 +111,10 @@ val to_packed : t -> Packed_text.t
 
 (** {1 Persistence hooks}
 
-    Every on-disk format since v2 writes the interleaved buffers
-    verbatim so [load] never recounts the text — and format v4 goes one
-    further: the block buffer can be adopted {e in place} from an
-    mmap'd section.  Treat the returned buffers as read-only. *)
+    The on-disk format (v4) writes the interleaved buffers verbatim so
+    [load] never recounts the text, and lays them out so the block
+    buffer can be adopted {e in place} from an mmap'd section.  Treat
+    the returned buffers as read-only. *)
 
 val raw_blocks : t -> Storage.t
 val raw_super : t -> int array

@@ -2,7 +2,7 @@
 
      acceptor thread   -- select/accept loop on the listening socket
      1 thread per conn -- frame loop: read, admit, submit, reply
-     dispatcher thread -- drains the query queue in batches and runs
+     dispatcher domain -- drains the query queue in batches and runs
                           each batch across the Work_pool domains
      caller            -- start/stop (or the [serve] signal loop)
 
@@ -194,7 +194,7 @@ type t = {
   stop_requested : bool Atomic.t;
   stopped : bool Atomic.t;
   mutable acceptor : Thread.t option;
-  mutable dispatcher : Thread.t option;
+  mutable dispatcher : unit Domain.t option;
 }
 
 let stopping t = Atomic.get t.stop_requested
@@ -546,7 +546,12 @@ let start cfg corpus =
     }
   in
   Fmindex.Fm_index.Telemetry.set_enabled true;
-  t.dispatcher <- Some (Thread.create dispatcher_loop t);
+  (* The dispatcher gets a domain of its own, not a thread: with one
+     pool domain it runs every batch inline, and a search running on the
+     main domain would hold the runtime lock the acceptor and connection
+     threads need, so no request could be read or admitted (nor its
+     queued deadline expire) until the search ended. *)
+  t.dispatcher <- Some (Domain.spawn (fun () -> dispatcher_loop t));
   t.acceptor <- Some (Thread.create acceptor_loop t);
   cfg.log
     (Printf.sprintf "listening on %s (%d bp corpus, %d shard%s, %d domain%s, batch <= %d)"
@@ -567,7 +572,7 @@ let stop t =
     Mutex.unlock t.qm;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Option.iter Thread.join t.acceptor;
-    Option.iter Thread.join t.dispatcher;
+    Option.iter Domain.join t.dispatcher;
     let conns =
       Mutex.lock t.cm;
       let l = t.conns in

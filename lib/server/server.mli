@@ -6,7 +6,7 @@
     answers {!Protocol} frames from any number of concurrent clients.  Each connection is served by a lightweight thread that
     reads frames, admits them against the configured {!Protocol.limits}
     and enqueues admitted queries on a shared batcher; a dispatcher
-    thread drains the queue in batches of at most [batch_max] and fans
+    running in its own domain drains the queue in batches of at most [batch_max] and fans
     each batch out across a {!Core.Work_pool} of [domains] OCaml
     domains.  Results come back {!Core.Kmismatch.Response}-shaped;
     every failure — malformed frame, limit violation, invalid pattern,

@@ -58,8 +58,8 @@ let test_fm_roundtrip_rates_exceed_text () =
       check bool "find_all agrees" true
         (Fmindex.Fm_index.find_all fm' "acgt" = Fmindex.Fm_index.find_all fm "acgt"))
 
-let expect_load_failure ~containing path =
-  match Fmindex.Fm_index.load path with
+let expect_load_failure ?mode ~containing path =
+  match Fmindex.Fm_index.load ?mode path with
   | exception Failure msg ->
       check bool
         (Printf.sprintf "message %S mentions %S" msg containing)
@@ -70,21 +70,25 @@ let expect_load_failure ~containing path =
          scan 0)
   | _ -> Alcotest.fail "corrupt file accepted"
 
+(* Forge a v4 header line (the header CRC would fail too, but the
+   field range checks run first) and load it in both modes: the range
+   checks sit in the geometry validator the two modes share. *)
+let expect_header_rejected line =
+  with_temp (fun path ->
+      let oc = open_out_bin path in
+      output_string oc line;
+      close_out oc;
+      List.iter
+        (fun mode -> expect_load_failure ~mode ~containing:"corrupt index header" path)
+        [ Fmindex.Fm_index.Copy; Fmindex.Fm_index.Mmap ])
+
 let test_fm_load_negative_n () =
   (* a negative length in the header must be the friendly header error,
-     not a raw Invalid_argument from Bytes.create *)
-  with_temp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "kmm-fm-index 1 -5 16 16 0\n";
-      close_out oc;
-      expect_load_failure ~containing:"corrupt index header" path)
+     not a raw Invalid_argument from an allocation *)
+  expect_header_rejected "kmm-fm-index 4 -5 32 16 0 1 8 4 0 0 0 0\n"
 
 let test_fm_load_bad_rates () =
-  with_temp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "kmm-fm-index 1 8 0 16 0\nxx";
-      close_out oc;
-      expect_load_failure ~containing:"corrupt index header" path)
+  expect_header_rejected "kmm-fm-index 4 8 32 0 0 1 8 4 2 2 2 2\nxx"
 
 let test_fm_load_trailing_garbage () =
   with_temp (fun path ->
@@ -244,15 +248,6 @@ let prop_mmap_equals_copy =
           && Fmindex.Fm_index.find_all mm pattern = Fmindex.Fm_index.find_all heap pattern
           && Fmindex.Fm_index.count mm pattern = Fmindex.Fm_index.count heap pattern))
 
-let test_mmap_falls_back_on_pre_v4 () =
-  (* Pre-v4 layouts are unaligned, so Mmap mode adopts them by copy:
-     the file still loads and answers exactly like the Copy path. *)
-  let heap = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Copy "fixtures/v1-random211.fmi" in
-  let mm = Fmindex.Fm_index.load ~mode:Fmindex.Fm_index.Mmap "fixtures/v1-random211.fmi" in
-  check string "text" (Fmindex.Fm_index.text heap) (Fmindex.Fm_index.text mm);
-  check Alcotest.(list int) "find_all" (Fmindex.Fm_index.find_all heap "acg")
-    (Fmindex.Fm_index.find_all mm "acg")
-
 let test_mmap_detects_truncation_and_header_damage () =
   (* The mmap loader skips payload CRCs by design, but size/geometry and
      header-CRC checks must still catch truncation and header bytes. *)
@@ -275,87 +270,6 @@ let test_mmap_detects_truncation_and_header_damage () =
       match Fmindex.Fm_index.try_load ~mode:Fmindex.Fm_index.Mmap path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "header damage accepted by the mmap loader")
-
-(* ------------------------------------------------------------------ *)
-(* Committed v1 fixtures: files written by the previous release must
-   keep loading byte-for-byte. *)
-
-let test_v1_fixture_paper () =
-  let fm = Fmindex.Fm_index.load "fixtures/v1-paper.fmi" in
-  check string "paper text" "acagaca" (Fmindex.Fm_index.text fm);
-  check Alcotest.(list int) "paper search" [ 0; 4 ] (Fmindex.Fm_index.find_all fm "aca")
-
-let test_v1_fixture_random () =
-  let expected =
-    In_channel.with_open_bin "fixtures/v1-random211.txt" In_channel.input_all
-  in
-  let fm = Fmindex.Fm_index.load "fixtures/v1-random211.fmi" in
-  check string "fixture text" expected (Fmindex.Fm_index.text fm);
-  (* The v1 file was written with occ_rate 7 / sa_rate 5; answers must
-     match a freshly built index. *)
-  let fresh = Fmindex.Fm_index.build expected in
-  List.iter
-    (fun pat ->
-      check Alcotest.(list int) ("fixture find_all " ^ pat)
-        (Fmindex.Fm_index.find_all fresh pat) (Fmindex.Fm_index.find_all fm pat))
-    [ "a"; "tt"; "acg"; "gatc"; String.sub expected 100 7 ]
-
-let test_v1_fixture_resave_is_v4 () =
-  (* Loading a v1 file and saving it again migrates to the current
-     format (v4). *)
-  with_temp (fun path ->
-      let fm = Fmindex.Fm_index.load "fixtures/v1-random211.fmi" in
-      Fmindex.Fm_index.save fm path;
-      let line = In_channel.with_open_bin path In_channel.input_line in
-      (match line with
-      | Some l -> check bool "resave v4" true (String.sub l 0 14 = "kmm-fm-index 4")
-      | None -> Alcotest.fail "empty resave");
-      let fm' = Fmindex.Fm_index.load path in
-      check string "text survives migration" (Fmindex.Fm_index.text fm)
-        (Fmindex.Fm_index.text fm');
-      check bool "search survives migration" true
-        (Fmindex.Fm_index.find_all fm' "acg" = Fmindex.Fm_index.find_all fm "acg"))
-
-(* ------------------------------------------------------------------ *)
-(* Committed v2 fixtures: files written by the previous release (before
-   checksums) must keep loading byte-for-byte. *)
-
-let test_v2_fixture_paper () =
-  let fm = Fmindex.Fm_index.load "fixtures/v2-paper.fmi" in
-  check string "paper text" "acagaca" (Fmindex.Fm_index.text fm);
-  check Alcotest.(list int) "paper search" [ 0; 4 ] (Fmindex.Fm_index.find_all fm "aca")
-
-let test_v2_fixture_random () =
-  let expected =
-    In_channel.with_open_bin "fixtures/v2-random317.txt" In_channel.input_all
-  in
-  let fm = Fmindex.Fm_index.load "fixtures/v2-random317.fmi" in
-  check string "fixture text" expected (Fmindex.Fm_index.text fm);
-  (* The v2 file was written with occ_rate 7 / sa_rate 5; answers must
-     match a freshly built index. *)
-  let fresh = Fmindex.Fm_index.build expected in
-  List.iter
-    (fun pat ->
-      check Alcotest.(list int) ("fixture find_all " ^ pat)
-        (Fmindex.Fm_index.find_all fresh pat) (Fmindex.Fm_index.find_all fm pat))
-    [ "a"; "tt"; "acg"; "gatc"; String.sub expected 150 7 ]
-
-let test_save_v2_loads () =
-  (* The v2 writer is kept for fixture (re)generation and downgrade
-     paths; its output must stay loadable. *)
-  with_temp (fun path ->
-      let text = Test_util.random_dna (Random.State.make [| 23 |]) 500 in
-      let fm = Fmindex.Fm_index.build text in
-      Fmindex.Fm_index.save_v2 fm path;
-      let line = In_channel.with_open_bin path In_channel.input_line in
-      (match line with
-      | Some l -> check bool "v2 magic" true (String.sub l 0 14 = "kmm-fm-index 2")
-      | None -> Alcotest.fail "empty v2 file");
-      let fm' = Fmindex.Fm_index.load path in
-      check string "text" text (Fmindex.Fm_index.text fm');
-      check bool "find_all agrees" true
-        (Fmindex.Fm_index.find_all fm' (String.sub text 17 5)
-        = Fmindex.Fm_index.find_all fm (String.sub text 17 5)))
 
 let prop_kmismatch_index_roundtrip =
   Test_util.qtest ~count:50 "kmismatch index roundtrip"
@@ -474,16 +388,9 @@ let () =
           Alcotest.test_case "proc-style file read to EOF" `Quick test_load_proc_style_file;
           Alcotest.test_case "directory gives typed Io" `Quick test_load_directory_is_typed_io;
           Alcotest.test_case "missing file gives typed Io" `Quick test_load_missing_is_typed_io;
-          Alcotest.test_case "mmap adopts pre-v4 by copy" `Quick test_mmap_falls_back_on_pre_v4;
           Alcotest.test_case "mmap catches truncation/header damage" `Quick
             test_mmap_detects_truncation_and_header_damage;
           prop_mmap_equals_copy;
-          Alcotest.test_case "v1 fixture: paper text" `Quick test_v1_fixture_paper;
-          Alcotest.test_case "v1 fixture: random211" `Quick test_v1_fixture_random;
-          Alcotest.test_case "v1 fixture: resave migrates to v4" `Quick test_v1_fixture_resave_is_v4;
-          Alcotest.test_case "v2 fixture: paper text" `Quick test_v2_fixture_paper;
-          Alcotest.test_case "v2 fixture: random317" `Quick test_v2_fixture_random;
-          Alcotest.test_case "save_v2 output loads" `Quick test_save_v2_loads;
           prop_fm_roundtrip;
           prop_fm_roundtrip_rates;
           prop_kmismatch_index_roundtrip;

@@ -1,15 +1,15 @@
 (* Robustness suite: the crash-safety and self-verification guarantees
-   of the v3 on-disk format, the fault-injection harness behind them,
+   of the v4 on-disk format, the fault-injection harness behind them,
    and the fail-soft behavior of the batch layers.
 
    The contracts under test:
 
    - {e detection}: every single-byte corruption (and every single-bit
-     flip) of a saved v3 index is rejected by [try_of_string] with a
+     flip) of a saved v4 index is rejected by [try_of_string] with a
      typed error — never accepted with wrong contents, never an untyped
      exception;
-   - {e truncation}: every strict prefix of a saved index (v2 and v3)
-     is rejected with [Truncated], [Corrupt] or [Bad_magic] — never
+   - {e truncation}: every strict prefix of a saved index is rejected
+     with [Truncated], [Corrupt] or [Bad_magic] — never
      [Out_of_memory], [End_of_file] or a quiet wrong answer;
    - {e atomicity}: a save that fails partway (ENOSPC, crash, short
      write) leaves the target either absent or byte-identical to its
@@ -47,7 +47,7 @@ let error_tag = function
 (* ------------------------------------------------------------------ *)
 (* Detection: exhaustive single-byte and single-bit corruption          *)
 
-let test_v3_byte_sweep () =
+let test_byte_sweep () =
   let fm = fm_of_seed ~len:151 5 in
   let image = Fmindex.Fm_index.serialize fm in
   let n = String.length image in
@@ -70,7 +70,7 @@ let test_v3_byte_sweep () =
   done;
   check int (Printf.sprintf "all %d byte corruptions rejected" n) 0 !bad
 
-let test_v3_bit_sweep () =
+let test_bit_sweep () =
   (* Every single-bit flip on a smaller image: the finest-grained
      corruption a disk or wire can inflict. *)
   let fm = fm_of_seed ~occ_rate:7 ~sa_rate:5 ~len:67 6 in
@@ -102,10 +102,27 @@ let test_error_messages_typed () =
   | Error Kmm_error.Bad_magic -> ()
   | Error e -> Alcotest.fail ("garbage: expected bad-magic, got " ^ error_tag e)
   | Ok _ -> Alcotest.fail "garbage accepted");
-  (match Fmindex.Fm_index.try_of_string "kmm-fm-index 9 1 1 1 0\nx" with
-  | Error (Kmm_error.Unsupported_version 9) -> ()
-  | Error e -> Alcotest.fail ("v9: expected unsupported-version, got " ^ error_tag e)
-  | Ok _ -> Alcotest.fail "v9 accepted");
+  (* v4 is the only format: the retired v1–v3 headers are rejected like
+     a future version, by the copy parser and by the mmap loader alike
+     (no fallback to a copy load). *)
+  List.iter
+    (fun v ->
+      let header = Printf.sprintf "kmm-fm-index %d 1 1 1 0\nx" v in
+      let expect what = function
+        | Error (Kmm_error.Unsupported_version v') when v' = v -> ()
+        | Error e ->
+            Alcotest.failf "v%d (%s): expected unsupported-version, got %s" v what
+              (error_tag e)
+        | Ok _ -> Alcotest.failf "v%d (%s) accepted" v what
+      in
+      expect "copy" (Fmindex.Fm_index.try_of_string header);
+      let path = Filename.temp_file "kmmrob" ".fmi" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc header);
+          expect "mmap" (Fmindex.Fm_index.try_load ~mode:Fmindex.Fm_index.Mmap path)))
+    [ 1; 2; 3; 9 ];
   (* flip a byte in the middle of the image: some section CRC trips *)
   let mid = String.length image / 2 in
   match
@@ -117,7 +134,7 @@ let test_error_messages_typed () =
   | Ok _ -> Alcotest.fail "mid flip accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Truncation: every strict prefix of v2 and v3 images is rejected      *)
+(* Truncation: every strict prefix of an image is rejected              *)
 
 let acceptable_truncation = function
   | Kmm_error.Truncated _ | Kmm_error.Corrupt _ | Kmm_error.Bad_magic -> true
@@ -131,44 +148,19 @@ let truncation_rejected image keep =
   | Ok _ -> false
 
 let test_every_truncation_rejected () =
-  (* Exhaustive over both formats on small indexes. *)
-  let fm = fm_of_seed ~occ_rate:7 ~sa_rate:5 ~len:83 8 in
-  List.iter
-    (fun image ->
-      for keep = 0 to String.length image - 1 do
-        if not (truncation_rejected image keep) then
-          Alcotest.failf "truncation to %d of %d bytes accepted" keep
-            (String.length image)
-      done)
-    [
-      Fmindex.Fm_index.serialize fm;
-      (let path = Filename.temp_file "kmmrob" ".fmi" in
-       Fun.protect
-         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-         (fun () ->
-           Fmindex.Fm_index.save_v2 fm path;
-           In_channel.with_open_bin path In_channel.input_all));
-    ]
+  (* Exhaustive on a small index. *)
+  let image = Fmindex.Fm_index.serialize (fm_of_seed ~occ_rate:7 ~sa_rate:5 ~len:83 8) in
+  for keep = 0 to String.length image - 1 do
+    if not (truncation_rejected image keep) then
+      Alcotest.failf "truncation to %d of %d bytes accepted" keep (String.length image)
+  done
 
 let prop_truncation_rejected =
-  Test_util.qtest ~count:60 "random prefix of random index rejected (v2+v3)"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:1 ~hi:260 ()) (int_range 0 1_000_000) bool)
-    (fun (text, cut, use_v2) ->
-      let fm = Fmindex.Fm_index.build text in
-      let image =
-        if use_v2 then begin
-          let path = Filename.temp_file "kmmrob" ".fmi" in
-          Fun.protect
-            ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-            (fun () ->
-              Fmindex.Fm_index.save_v2 fm path;
-              In_channel.with_open_bin path In_channel.input_all)
-        end
-        else Fmindex.Fm_index.serialize fm
-      in
-      let keep = cut mod String.length image in
-      truncation_rejected image keep)
+  Test_util.qtest ~count:60 "random prefix of random index rejected"
+    QCheck2.Gen.(pair (Test_util.dna_gen ~lo:1 ~hi:260 ()) (int_range 0 1_000_000))
+    (fun (text, cut) ->
+      let image = Fmindex.Fm_index.serialize (Fmindex.Fm_index.build text) in
+      truncation_rejected image (cut mod String.length image))
 
 (* ------------------------------------------------------------------ *)
 (* The mmap reader's (weaker, but still closed) detection contract:
@@ -530,15 +522,15 @@ let () =
     [
       ( "detection",
         [
-          Alcotest.test_case "v3 exhaustive byte sweep" `Quick test_v3_byte_sweep;
-          Alcotest.test_case "v3 exhaustive bit sweep" `Quick test_v3_bit_sweep;
+          Alcotest.test_case "v4 exhaustive byte sweep" `Quick test_byte_sweep;
+          Alcotest.test_case "v4 exhaustive bit sweep" `Quick test_bit_sweep;
           Alcotest.test_case "typed constructors" `Quick test_error_messages_typed;
         ] );
       ( "truncation",
         [
           Alcotest.test_case "v4 mmap header sweep + prefixes" `Quick
             test_v4_mmap_header_sweep;
-          Alcotest.test_case "every prefix rejected (v2+v3)" `Quick
+          Alcotest.test_case "every prefix rejected (v4)" `Quick
             test_every_truncation_rejected;
           prop_truncation_rejected;
         ] );
