@@ -1,4 +1,4 @@
-(* Head-to-head engine campaign: every registered engine on the same
+(* Head-to-head engine campaign: every engine in the table on the same
    simulated-read workload, k in {0, 1, 2, 4} crossed with read lengths
    up to 128 bp.
 
@@ -7,11 +7,11 @@
 
      small   every registered engine, reference matchers included —
              the cross-check tier (all answers must be identical);
-     large   only engines whose registry entry says [caps.scales] —
+     large   only engines whose table entry says [caps.scales] —
              the timing tier the paper-style comparison reads.
 
-   The roster, the names and the scales gating all come from
-   [Kmismatch.Engine_registry]: registering a tenth engine puts it in
+   The roster, the names and the scales gating all come from the static
+   engine table [Kmismatch.Engine_registry]: an engine added there joins
    this campaign with no change here.
 
    Every (engine, k, length) cell's hit list is compared against the

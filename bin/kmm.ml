@@ -51,7 +51,8 @@ let obtain_corpus ~mmap ~genome ~index_file =
       | Error e -> fail_typed ~path e)
   | Some path, None ->
       Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome path))
-  | None, None -> failwith "one of --genome or --index is required"
+  | None, None ->
+      fail_typed (Kmm_error.Bad_input "one of --genome or --index is required")
 
 (* --- observability plumbing ----------------------------------------- *)
 
@@ -203,8 +204,8 @@ let simulate_cmd =
 
 let engine_conv =
   (* The accepted spellings and the error text both come from the engine
-     registry, so a newly registered engine is immediately usable on the
-     command line with no change here. *)
+     table, so an engine added there is usable on the command line with
+     no change here. *)
   let parse s =
     match Core.Kmismatch.engine_of_string_err s with
     | Ok e -> Ok e
@@ -262,7 +263,7 @@ let search_cmd =
 let map_cmd =
   let run genome index_file mmap reads k engine both_strands best jobs trace
       metrics_out =
-    if jobs < 1 then failwith "--jobs must be >= 1";
+    if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
     let corpus = obtain_corpus ~mmap ~genome ~index_file in
     let records =
       match Dna.Fasta.try_read_file reads with
@@ -327,11 +328,13 @@ let map_cmd =
 
 let index_cmd =
   let run genome out shard_size overlap jobs =
-    if jobs < 1 then failwith "--jobs must be >= 1";
+    if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
     (match shard_size with
-    | Some s when s < 1 -> failwith "--shard-size must be >= 1"
+    | Some s when s < 1 ->
+        fail_typed (Kmm_error.Bad_input "--shard-size must be >= 1")
     | _ -> ());
-    if overlap < 0 then failwith "--shard-overlap must be >= 0";
+    if overlap < 0 then
+      fail_typed (Kmm_error.Bad_input "--shard-overlap must be >= 0");
     let corpus =
       match shard_size with
       | None ->
@@ -702,7 +705,7 @@ let bench_cmd =
 let serve_cmd =
   let run genome index_file mmap socket jobs batch_max max_queue send_timeout
       max_pattern max_k max_hits max_frame quiet trace metrics_out =
-    if jobs < 1 then failwith "--jobs must be >= 1";
+    if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
     let corpus = obtain_corpus ~mmap ~genome ~index_file in
     let limits =
       { Kmm_server.Protocol.max_pattern; max_k; max_hits; max_frame }

@@ -32,7 +32,11 @@ let () =
   print_endline "\nk-mismatch (Algorithm A):";
   List.iter
     (fun (p, k) ->
-      let hits = Core.Kmismatch.search index ~engine:Core.Kmismatch.M_tree ~pattern:p ~k in
+      let hits =
+        (Core.Kmismatch.run index
+           (Core.Kmismatch.Query.make ~engine:Core.Kmismatch.M_tree ~pattern:p ~k ()))
+          .Core.Kmismatch.Response.hits
+      in
       Printf.printf "  %-20s k=%d  %d occurrence(s)\n" p k (List.length hits))
     [
       (String.sub text 1000 20, 2);

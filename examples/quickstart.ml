@@ -11,6 +11,10 @@ let () =
 
   (* One index serves every engine. *)
   let index = Core.Kmismatch.build_index target in
+  let search engine =
+    (Core.Kmismatch.run index (Core.Kmismatch.Query.make ~engine ~pattern ~k ()))
+      .Core.Kmismatch.Response.hits
+  in
 
   (* The BWT array the index is built on (the paper transforms the
      *reverse* of the target so the pattern can be matched left to
@@ -21,8 +25,7 @@ let () =
 
   List.iter
     (fun engine ->
-      let stats = Core.Stats.create () in
-      let hits = Core.Kmismatch.search ~stats index ~engine ~pattern ~k in
+      let hits = search engine in
       Printf.printf "%-16s" (Core.Kmismatch.engine_name engine);
       List.iter (fun (pos, d) -> Printf.printf " (pos=%d, mismatches=%d)" pos d) hits;
       print_newline ())
@@ -36,7 +39,7 @@ let () =
       Printf.printf "window at %d: %s vs %s (%d mismatches)\n" pos
         (String.sub target pos (String.length pattern))
         pattern d)
-    (Core.Kmismatch.search index ~engine:Core.Kmismatch.M_tree ~pattern ~k)
+    (search Core.Kmismatch.M_tree)
 
 (* The literal mismatching tree of the paper's Fig. 7: collapsed <-, 0>
    match runs with <char, position> mismatch nodes, and the per-path

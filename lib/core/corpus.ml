@@ -93,12 +93,6 @@ let try_run t (q : Kmismatch.Query.t) =
         loop 0 [] []
       end)
 
-let run t q =
-  match try_run t q with
-  | Ok r -> r
-  | Error (Kmm_error.Bad_input msg) -> invalid_arg msg
-  | Error e -> Kmm_error.raise_error e
-
 let target t =
   match t with
   | Mono idx -> Mapper.target_of_index idx

@@ -84,10 +84,6 @@ val try_run : t -> Kmismatch.Query.t -> (Kmismatch.Response.t, Kmm_error.t) resu
     corpus — that is an ordinary empty answer, as for a monolithic
     index) is [Error (Bad_input _)] naming the limit. *)
 
-val run : t -> Kmismatch.Query.t -> Kmismatch.Response.t
-(** Raising wrapper over {!try_run} with the {!Kmismatch.run}
-    contract: [Bad_input] becomes [Invalid_argument]. *)
-
 val target : t -> Mapper.target
 (** The corpus as a mapper target: reads up to {!max_query} are
     answered in global coordinates; longer reads are skipped with a

@@ -1,6 +1,4 @@
-type engine = ..
-
-type engine +=
+type engine =
   | M_tree
   | S_tree
   | S_tree_no_delta
@@ -68,10 +66,10 @@ let packed_text t = Fmindex.Storage.Memo.force t.pforward
 let bidir t = Fmindex.Storage.Memo.force t.bidir
 
 (* ------------------------------------------------------------------ *)
-(* The engine registry                                                  *)
+(* The engine table                                                     *)
 
 module Engine_registry = struct
-  type caps = { online : bool; needs_tree : bool; scales : bool }
+  type caps = { scales : bool }
 
   type run_args = {
     pattern : string;
@@ -90,9 +88,150 @@ module Engine_registry = struct
     run : index -> run_args -> (int * int) list;
   }
 
-  (* Registration order is presentation order everywhere (CLI help,
-     oracle subjects, benches), so the table is an append-only list. *)
-  let table : entry list ref = ref []
+  let nothing (_ : index) = ()
+
+  let force_text t =
+    ignore (text t);
+    ignore (packed_text t)
+
+  let m_tree =
+    {
+      engine = M_tree;
+      name = "m-tree";
+      doc = "the paper's Algorithm A: BWT search with mismatching-tree reuse";
+      caps = { scales = true };
+      prepare = nothing;
+      run =
+        (fun t a ->
+          M_tree.search ?config:a.config ~stats:a.stats ~obs:a.obs t.fm_rev
+            ~pattern:a.pattern ~k:a.k);
+    }
+
+  let s_tree =
+    {
+      engine = S_tree;
+      name = "s-tree";
+      doc = "the BWT baseline of ref. [34] with the delta heuristic";
+      caps = { scales = true };
+      prepare = nothing;
+      run =
+        (fun t a ->
+          S_tree.search ~use_delta:true ~stats:a.stats ~obs:a.obs t.fm_rev
+            ~pattern:a.pattern ~k:a.k);
+    }
+
+  let s_tree_no_delta =
+    {
+      engine = S_tree_no_delta;
+      name = "s-tree-nodelta";
+      doc = "the BWT baseline without the delta heuristic";
+      caps = { scales = true };
+      prepare = nothing;
+      run =
+        (fun t a ->
+          S_tree.search ~use_delta:false ~stats:a.stats ~obs:a.obs t.fm_rev
+            ~pattern:a.pattern ~k:a.k);
+    }
+
+  let hybrid =
+    {
+      engine = Hybrid;
+      name = "hybrid";
+      doc = "FM search to a unique row, then word-parallel verification";
+      caps = { scales = true };
+      prepare = force_text;
+      run =
+        (fun t a ->
+          Hybrid.search ~stats:a.stats ~ptext:(packed_text t) t.fm_rev
+            ~text:(text t) ~pattern:a.pattern ~k:a.k);
+    }
+
+  let cole =
+    {
+      engine = Cole;
+      name = "cole";
+      doc = "suffix-tree brute force (ref. [14])";
+      caps = { scales = false };
+      prepare = (fun t -> ignore (suffix_tree t));
+      run =
+        (fun t a ->
+          Cole.search ~stats:a.stats (suffix_tree t) ~pattern:a.pattern ~k:a.k);
+    }
+
+  let amir =
+    {
+      engine = Amir;
+      name = "amir";
+      doc = "online mark-and-verify (ref. [2])";
+      caps = { scales = false };
+      prepare = force_text;
+      run =
+        (fun t a ->
+          Amir.search ~stats:a.stats ~ptext:(packed_text t) ~pattern:a.pattern
+            ~k:a.k (text t));
+    }
+
+  let kangaroo =
+    {
+      engine = Kangaroo;
+      name = "kangaroo";
+      doc = "online O(kn) Landau-Vishkin kangaroo jumps";
+      caps = { scales = false };
+      prepare = force_text;
+      run =
+        (fun t a ->
+          Stringmatch.Kangaroo.search ~ptext:(packed_text t)
+            ~pattern:a.pattern ~k:a.k (text t));
+    }
+
+  let naive =
+    {
+      engine = Naive;
+      name = "naive";
+      doc = "online O(mn) scanning reference";
+      caps = { scales = false };
+      prepare = (fun t -> ignore (text t));
+      run =
+        (fun t a ->
+          Stringmatch.Hamming.search ~pattern:a.pattern ~text:(text t) ~k:a.k);
+    }
+
+  let bidir =
+    {
+      engine = Bidir;
+      name = "bidir";
+      doc =
+        "bidirectional FM-index executing optimum search schemes (Kianfar & \
+         Pockrandt)";
+      caps = { scales = true };
+      prepare =
+        (fun t ->
+          ignore (bidir t);
+          ignore (packed_text t));
+      run =
+        (fun t a ->
+          Oss.search ~stats:a.stats ~obs:a.obs ~ptext:(packed_text t)
+            (bidir t) ~pattern:a.pattern ~k:a.k);
+    }
+
+  (* Table order is presentation order everywhere (CLI help, oracle
+     subjects, benches): the order the variant declares. *)
+  let table =
+    [ m_tree; s_tree; s_tree_no_delta; hybrid; cole; amir; kangaroo; naive; bidir ]
+
+  (* A match rather than a list search: a constructor without an entry
+     fails the exhaustiveness check, and the per-query lookup is a
+     jump. *)
+  let find = function
+    | M_tree -> m_tree
+    | S_tree -> s_tree
+    | S_tree_no_delta -> s_tree_no_delta
+    | Hybrid -> hybrid
+    | Cole -> cole
+    | Amir -> amir
+    | Kangaroo -> kangaroo
+    | Naive -> naive
+    | Bidir -> bidir
 
   (* Names are compared with separators stripped and case folded, so
      "s-tree-nodelta", "s_tree_no_delta" and "STreeNoDelta" coincide. *)
@@ -101,44 +240,18 @@ module Engine_registry = struct
     |> Seq.filter (fun c -> c <> '-' && c <> '_')
     |> String.of_seq
 
-  (* Nullary extension constructors are singletons, so engine values
-     compare by physical equality. *)
-  let find eng = List.find_opt (fun e -> e.engine == eng) !table
-
   let find_name name =
     let key = normalize name in
-    List.find_opt (fun e -> normalize e.name = key) !table
+    List.find_opt (fun e -> normalize e.name = key) table
 
-  let register e =
-    if e.name = "" then invalid_arg "Engine_registry.register: empty name";
-    (match find_name e.name with
-    | Some clash ->
-        invalid_arg
-          (Printf.sprintf
-             "Engine_registry.register: name %S collides with registered %S"
-             e.name clash.name)
-    | None -> ());
-    (match find e.engine with
-    | Some clash ->
-        invalid_arg
-          (Printf.sprintf
-             "Engine_registry.register: engine already registered as %S"
-             clash.name)
-    | None -> ());
-    table := !table @ [ e ]
-
-  let all () = !table
-  let names () = List.map (fun e -> e.name) !table
+  let all () = table
+  let names () = List.map (fun e -> e.name) table
 end
 
 let all_engines () =
   List.map (fun e -> e.Engine_registry.engine) (Engine_registry.all ())
 
-let engine_name e =
-  match Engine_registry.find e with
-  | Some en -> en.Engine_registry.name
-  | None -> "unregistered-engine"
-
+let engine_name e = (Engine_registry.find e).Engine_registry.name
 let engine_names () = Engine_registry.names ()
 
 let engine_of_string s =
@@ -154,131 +267,6 @@ let engine_of_string_err s =
         (Kmm_error.Bad_input
            (Printf.sprintf "unknown engine %S (valid: %s)" s
               (String.concat ", " (engine_names ()))))
-
-(* The built-in engines, registered in the order the closed variant
-   used to declare them (plus Bidir).  This is the single site a new
-   built-in engine touches. *)
-let () =
-  let open Engine_registry in
-  let caps ?(online = false) ?(needs_tree = false) ?(scales = true) () =
-    { online; needs_tree; scales }
-  in
-  let nothing (_ : index) = () in
-  let force_text t =
-    ignore (text t);
-    ignore (packed_text t)
-  in
-  register
-    {
-      engine = M_tree;
-      name = "m-tree";
-      doc = "the paper's Algorithm A: BWT search with mismatching-tree reuse";
-      caps = caps ();
-      prepare = nothing;
-      run =
-        (fun t a ->
-          M_tree.search ?config:a.config ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    };
-  register
-    {
-      engine = S_tree;
-      name = "s-tree";
-      doc = "the BWT baseline of ref. [34] with the delta heuristic";
-      caps = caps ();
-      prepare = nothing;
-      run =
-        (fun t a ->
-          S_tree.search ~use_delta:true ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    };
-  register
-    {
-      engine = S_tree_no_delta;
-      name = "s-tree-nodelta";
-      doc = "the BWT baseline without the delta heuristic";
-      caps = caps ();
-      prepare = nothing;
-      run =
-        (fun t a ->
-          S_tree.search ~use_delta:false ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    };
-  register
-    {
-      engine = Hybrid;
-      name = "hybrid";
-      doc = "FM search to a unique row, then word-parallel verification";
-      caps = caps ~online:true ();
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Hybrid.search ~stats:a.stats ~ptext:(packed_text t) t.fm_rev
-            ~text:(text t) ~pattern:a.pattern ~k:a.k);
-    };
-  register
-    {
-      engine = Cole;
-      name = "cole";
-      doc = "suffix-tree brute force (ref. [14])";
-      caps = caps ~needs_tree:true ~scales:false ();
-      prepare = (fun t -> ignore (suffix_tree t));
-      run =
-        (fun t a ->
-          Cole.search ~stats:a.stats (suffix_tree t) ~pattern:a.pattern ~k:a.k);
-    };
-  register
-    {
-      engine = Amir;
-      name = "amir";
-      doc = "online mark-and-verify (ref. [2])";
-      caps = caps ~online:true ~scales:false ();
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Amir.search ~stats:a.stats ~ptext:(packed_text t) ~pattern:a.pattern
-            ~k:a.k (text t));
-    };
-  register
-    {
-      engine = Kangaroo;
-      name = "kangaroo";
-      doc = "online O(kn) Landau-Vishkin kangaroo jumps";
-      caps = caps ~online:true ~scales:false ();
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Stringmatch.Kangaroo.search ~ptext:(packed_text t)
-            ~pattern:a.pattern ~k:a.k (text t));
-    };
-  register
-    {
-      engine = Naive;
-      name = "naive";
-      doc = "online O(mn) scanning reference";
-      caps = caps ~online:true ~scales:false ();
-      prepare = (fun t -> ignore (text t));
-      run =
-        (fun t a ->
-          Stringmatch.Hamming.search ~pattern:a.pattern ~text:(text t) ~k:a.k);
-    };
-  register
-    {
-      engine = Bidir;
-      name = "bidir";
-      doc =
-        "bidirectional FM-index executing optimum search schemes (Kianfar & \
-         Pockrandt)";
-      caps = caps ();
-      prepare =
-        (fun t ->
-          ignore (bidir t);
-          ignore (packed_text t));
-      run =
-        (fun t a ->
-          Oss.search ~stats:a.stats ~obs:a.obs ~ptext:(packed_text t)
-            (bidir t) ~pattern:a.pattern ~k:a.k);
-    }
 
 module Query = struct
   type t = {
@@ -301,8 +289,6 @@ module Response = struct
     stats : Stats.t;
     timings : (string * float) list;
   }
-
-  let positions r = List.map fst r.hits
 end
 
 (* Flush per-query engine work into the sink's counters (counters v2:
@@ -335,26 +321,20 @@ let flush_counters obs (s : Stats.t) fm_delta verify_delta =
       Obs.add obs "fm.locate_steps" d.locate_steps
 
 (* Validation is the typed half of the entry point: every reason a query
-   cannot run maps to [Kmm_error.Bad_input] carrying the same message the
-   raising path has always used, so [run] can rebuild the historical
-   [Invalid_argument]s verbatim and long-running callers (the server, the
-   mapper) get a [result] they can answer with instead of a crash. *)
+   cannot run maps to [Kmm_error.Bad_input], so [run] can raise the same
+   message as [Invalid_argument] and long-running callers (the server,
+   the mapper) get a [result] they can answer with instead of a crash.
+   The messages reach users (CLI stderr, serve error frames), so they
+   name the problem, not a function. *)
 let validate (q : Query.t) =
   match
     try Ok (Dna.Sequence.to_string (Dna.Sequence.of_string q.pattern))
     with Invalid_argument msg -> Error msg
   with
   | Error msg -> Error (Kmm_error.Bad_input msg)
-  | Ok "" -> Error (Kmm_error.Bad_input "Kmismatch.search: empty pattern")
-  | Ok _ when q.k < 0 ->
-      Error (Kmm_error.Bad_input "Kmismatch.search: negative k")
-  | Ok pattern -> (
-      match Engine_registry.find q.engine with
-      | Some entry -> Ok (pattern, entry)
-      | None ->
-          Error
-            (Kmm_error.Bad_input
-               "Kmismatch.search: engine is not registered"))
+  | Ok "" -> Error (Kmm_error.Bad_input "empty pattern")
+  | Ok _ when q.k < 0 -> Error (Kmm_error.Bad_input "negative k")
+  | Ok pattern -> Ok (pattern, Engine_registry.find q.engine)
 
 let run_validated t (q : Query.t) ~obs ~t0 ~pattern
     ~(entry : Engine_registry.entry) =
@@ -453,18 +433,9 @@ let run t q =
   match try_run t q with
   | Ok r -> r
   | Error (Kmm_error.Bad_input msg) ->
-      (* The historical raising contract, message included: direct
-         callers and tests pattern-match on these strings. *)
+      (* The raising contract: the same message as [Invalid_argument]. *)
       invalid_arg msg
   | Error e -> Kmm_error.raise_error e
-
-let search ?stats ?config t ~engine ~pattern ~k =
-  let r = run t (Query.make ?config ~engine ~pattern ~k ()) in
-  (match stats with Some into -> Stats.merge ~into r.Response.stats | None -> ());
-  r.Response.hits
-
-let positions ?stats t ~engine ~pattern ~k =
-  List.map fst (search ?stats t ~engine ~pattern ~k)
 
 let save_index t path = Fmindex.Fm_index.save t.fm_rev path
 

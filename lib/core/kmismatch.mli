@@ -3,62 +3,46 @@
     An {!index} is built once per target and shared by all engines; each
     engine then answers queries [(pattern, k)] with the full list of
     [(position, distance)] occurrences.  All engines return identical
-    results — they differ only in cost:
+    results — they differ only in cost.  The one query call is {!run}
+    (or {!try_run}, which reports bad input as a value); the engines are
+    a closed variant, and one static table ({!Engine_registry}) carries
+    each engine's name, doc line, capabilities and search function. *)
 
-    - [M_tree]: the paper's Algorithm A, O(kn' + n + m log m);
-    - [S_tree]: the BWT baseline of ref. [34] with the delta heuristic;
-    - [Cole]: suffix-tree brute force (ref. [14]);
-    - [Amir]: online mark-and-verify (ref. [2]);
-    - [Hybrid]: FM search to a unique row, then direct verification (an
-      extension beyond the paper, in the style of practical aligners);
-    - [Kangaroo]: online O(kn) Landau-Vishkin;
-    - [Naive]: online O(mn) scanning;
-    - [Bidir]: bidirectional FM-index executing optimum search schemes
-      (Kianfar & Pockrandt; see {!Oss}) — the state of the art at
-      [k >= 2]. *)
-
-type engine = ..
-(** An engine is an open enumeration: the built-in constructors below
-    ship with the library, and any module can add one with
-    [type Kmismatch.engine += Mine] plus a single
-    {!Engine_registry.register} call — that one registration makes the
-    new engine reachable from {!engine_of_string}, the [kmm --engine]
-    help text, the fuzz oracle's subject list and every dispatch site.
-    An engine value that was never registered is rejected by {!try_run}
-    as [Bad_input]. *)
-
-type engine +=
-  | M_tree
-  | S_tree
-  | S_tree_no_delta
+type engine =
+  | M_tree  (** the paper's Algorithm A, O(kn' + n + m log m) *)
+  | S_tree  (** the BWT baseline of ref. [34] with the delta heuristic *)
+  | S_tree_no_delta  (** the same baseline without the delta heuristic *)
   | Hybrid
-  | Cole
-  | Amir
-  | Kangaroo
-  | Naive
+      (** FM search to a unique row, then direct verification (an
+          extension beyond the paper, in the style of practical
+          aligners) *)
+  | Cole  (** suffix-tree brute force (ref. [14]) *)
+  | Amir  (** online mark-and-verify (ref. [2]) *)
+  | Kangaroo  (** online O(kn) Landau-Vishkin *)
+  | Naive  (** online O(mn) scanning *)
   | Bidir
-      (** The built-in engines, pre-registered in declaration order.
-          (Formerly the closed [type engine] variant; kept as ordinary
-          constructors so existing matches and expressions compile
-          unchanged.) *)
+      (** bidirectional FM-index executing optimum search schemes
+          (Kianfar & Pockrandt; see {!Oss}) — the state of the art at
+          [k >= 2] *)
+(** The engines, in presentation order: CLI help, the server's engine
+    list, the fuzz oracle's subjects and the engines bench all list them
+    in this order.  Adding an engine means one constructor here and one
+    entry in {!Engine_registry}; a constructor without an entry fails
+    the exhaustiveness check of {!Engine_registry.find}. *)
 
 type index
 
-(** {1 The engine registry}
+(** {1 The engine table}
 
-    One table drives everything that enumerates or dispatches engines.
-    Mirrors [Bench_registry]: an entry carries the engine value, its
-    wire/CLI name, a one-line doc string, capability flags, a
-    pre-forcing hook for the mapper's parallel fan-out, and the search
-    function itself.  {!all_engines}, {!engine_name},
-    {!engine_of_string}, the CLI's [--engine] help, the server's
-    engine parsing and the oracle's subject list are all derived views
-    of this table. *)
+    One static table drives everything that enumerates or dispatches
+    engines.  An entry carries the engine value, its wire/CLI name, a
+    one-line doc string, capability flags, a pre-forcing hook for the
+    mapper's parallel fan-out, and the search function itself.
+    {!all_engines}, {!engine_name}, {!engine_of_string}, the CLI's
+    [--engine] help, the server's engine parsing and the oracle's
+    subject list are all derived views of this table. *)
 module Engine_registry : sig
   type caps = {
-    online : bool;
-        (** scans the unpacked text string (its [prepare] forces it) *)
-    needs_tree : bool;  (** requires the suffix tree (Cole) *)
     scales : bool;
         (** cheap enough per query to join large-text benchmark
             campaigns (excludes the O(mn)/O(kn)-per-window references) *)
@@ -75,7 +59,7 @@ module Engine_registry : sig
       the per-query sinks. *)
 
   type entry = {
-    engine : engine;  (** the (nullary) constructor this entry answers *)
+    engine : engine;  (** the constructor this entry answers *)
     name : string;
         (** wire/CLI name, lowercase with [-] separators; looked up
             spelling-insensitively (see {!Kmismatch.engine_of_string}) *)
@@ -89,15 +73,10 @@ module Engine_registry : sig
             with [distance <= k], ascending by position *)
   }
 
-  val register : entry -> unit
-  (** Append an entry to the table.  Raises [Invalid_argument] if the
-      name (after spelling normalization) or the engine value is already
-      registered. *)
-
   val all : unit -> entry list
-  (** Every entry, in registration order (built-ins first). *)
+  (** Every entry, in {!engine} declaration order. *)
 
-  val find : engine -> entry option
+  val find : engine -> entry
   val find_name : string -> entry option
   (** Lookup by engine value / by name ([-]/[_]-insensitive, case
       folded). *)
@@ -106,13 +85,10 @@ module Engine_registry : sig
 end
 
 val all_engines : unit -> engine list
-(** Registered engines in registration order — a derived view of
-    {!Engine_registry.all}, so it includes engines registered after
-    startup. *)
+(** Every engine, in declaration order ({!Engine_registry.all}). *)
 
 val engine_name : engine -> string
-(** The registry name of an engine ("m-tree", "bidir", ...);
-    ["unregistered-engine"] for a value never registered. *)
+(** The table name of an engine ("m-tree", "bidir", ...). *)
 
 val engine_of_string : string -> engine option
 (** Parse an engine name.  Case-insensitive, and [-]/[_] are
@@ -122,10 +98,10 @@ val engine_of_string : string -> engine option
 val engine_of_string_err : string -> (engine, Kmm_error.t) result
 (** {!engine_of_string} with a typed rejection: an unknown name comes
     back as [Error (Bad_input _)] whose message lists every valid
-    registry name. *)
+    engine name. *)
 
 val engine_names : unit -> string list
-(** The registered names, registration order ({!Engine_registry.names}). *)
+(** The engine names, declaration order ({!Engine_registry.names}). *)
 
 val build_index : ?occ_rate:int -> ?sa_rate:int -> string -> index
 (** Build the shared index of a target text (lowercase [acgt]; validated
@@ -174,8 +150,7 @@ val flush_verify : Obs.t -> Fmindex.Packed_text.Telemetry.counters -> unit
     The primary entry point is {!run}: a {!Query.t} names the engine,
     pattern, budget and (optionally) an observability sink; the
     {!Response.t} carries the hits together with the engine counters and
-    per-phase wall-clock timings of exactly that query.  {!search} and
-    {!positions} are thin compatibility wrappers over {!run}. *)
+    per-phase wall-clock timings of exactly that query. *)
 
 module Query : sig
   type t = {
@@ -219,15 +194,11 @@ module Response : sig
         (** per-phase wall-clock seconds, in execution order:
             [("normalize", _); ("search", _)] *)
   }
-
-  val positions : t -> int list
-  (** The hit positions only. *)
 end
 
 val try_run : index -> Query.t -> (Response.t, Kmm_error.t) result
 (** Execute one query, reporting validation failures as values: an
-    empty pattern, a non-ACGT character, [k < 0], or an engine value
-    that was never registered comes back as
+    empty pattern, a non-ACGT character or [k < 0] comes back as
     [Error (Kmm_error.Bad_input _)] (message identical to the
     [Invalid_argument] that {!run} would raise) instead of an exception.
     This is the entry point for long-running callers — the [kmm serve]
@@ -259,22 +230,6 @@ val run : index -> Query.t -> Response.t
     rank-layer effort of the query lands in [fm.*] counters.  All of
     these are per-record sums, so per-domain sinks {!Obs.merge} to the
     sequential totals. *)
-
-val search :
-  ?stats:Stats.t ->
-  ?config:M_tree.config ->
-  index ->
-  engine:engine ->
-  pattern:string ->
-  k:int ->
-  (int * int) list
-(** Compatibility wrapper: [run] with a throwaway query, returning the
-    hits and (when [stats] is given) merging the query's counters into
-    it.  Same validation and clamping as {!run}. *)
-
-val positions :
-  ?stats:Stats.t -> index -> engine:engine -> pattern:string -> k:int -> int list
-(** Positions only (wrapper over {!search}). *)
 
 val save_index : index -> string -> unit
 (** Persist the index (its FM component; ~n/4 bytes).  The suffix tree is

@@ -68,11 +68,9 @@ let target_of_index index =
       (fun engine ->
         (* The memos under the derived index components are domain-safe,
            but forcing the ones the run needs before fan-out keeps the
-           workers from serializing on the first force.  Each registry
-           entry knows what its engine reads. *)
-        (match Kmismatch.Engine_registry.find engine with
-        | Some entry -> entry.Kmismatch.Engine_registry.prepare index
-        | None -> ());
+           workers from serializing on the first force.  Each engine
+           table entry knows what its engine reads. *)
+        (Kmismatch.Engine_registry.find engine).prepare index;
         (* Hit re-checking runs the packed kernel for every engine. *)
         ignore (Kmismatch.packed_text index));
     tgt_run = (fun q -> Kmismatch.try_run index q);
@@ -327,19 +325,6 @@ let run_target opts target ~reads ~k =
     } )
 
 let run opts index ~reads ~k = run_target opts (target_of_index index) ~reads ~k
-
-let map_reads ?(engine = Kmismatch.M_tree) ?(both_strands = true) ?(domains = 1)
-    ?(chunk_size = default_chunk_size) ?stats index ~reads ~k =
-  if domains < 1 then invalid_arg "Mapper.map_reads: domains must be >= 1";
-  if chunk_size < 1 then invalid_arg "Mapper.map_reads: chunk_size must be >= 1";
-  let hits, summary =
-    run { default with engine; both_strands; domains; chunk_size } index ~reads
-      ~k
-  in
-  (match stats with
-  | Some into -> Stats.merge ~into summary.stats
-  | None -> ());
-  (hits, summary)
 
 let best_hits hits =
   let best = Hashtbl.create 64 in

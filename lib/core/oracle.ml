@@ -33,11 +33,13 @@ type subject = {
   run : Kmismatch.index -> case -> (int * int) list option;
 }
 
+let query idx engine c =
+  (Kmismatch.run idx
+     (Kmismatch.Query.make ~engine ~pattern:c.pattern ~k:c.k ()))
+    .Kmismatch.Response.hits
+
 let engine_subject e =
-  {
-    sub_name = Kmismatch.engine_name e;
-    run = (fun idx c -> Some (Kmismatch.search idx ~engine:e ~pattern:c.pattern ~k:c.k));
-  }
+  { sub_name = Kmismatch.engine_name e; run = (fun idx c -> Some (query idx e c)) }
 
 let kangaroo_direct =
   {
@@ -71,10 +73,11 @@ let fm_packed_find_all =
           Some (List.map (fun p -> (p, 0)) (Fmindex.Fm_index.find_all fm c.pattern)));
   }
 
-(* Persistence under fuzz: the index is saved (format v4),
-   reloaded and queried through the fastest engine; any disagreement
-   between the adopted buffers and a freshly built index shows up as a
-   divergence. *)
+(* Persistence under fuzz: the index is saved (format v4), reloaded
+   both by copy and by mmap, and queried through the M-tree engine.  The
+   two loads must agree with each other (a mismatch is raised, so it is
+   recorded as a divergence), and the copy load's answer is diffed
+   against the reference like any other subject. *)
 let fm_save_roundtrip =
   {
     sub_name = "fm-save-roundtrip";
@@ -85,9 +88,13 @@ let fm_save_roundtrip =
           ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
           (fun () ->
             Kmismatch.save_index idx path;
-            let idx' = Kmismatch.load_index path in
-            Some
-              (Kmismatch.search idx' ~engine:Kmismatch.M_tree ~pattern:c.pattern ~k:c.k)));
+            let hits mode =
+              query (Kmismatch.load_index ~mode path) Kmismatch.M_tree c
+            in
+            let copied = hits Fmindex.Fm_index.Copy in
+            if hits Fmindex.Fm_index.Mmap <> copied then
+              failwith "mmap-loaded index disagrees with the copy-loaded one";
+            Some copied));
   }
 
 (* Format-v4 self-verification under fuzz: serialize a forward index of

@@ -55,8 +55,7 @@ type subject = {
 }
 
 val default_subjects : unit -> subject list
-(** Every engine of {!Kmismatch.all_engines} (a registry snapshot, so
-    engines registered after startup join automatically) plus two
+(** Every engine of {!Kmismatch.all_engines}, in table order, plus two
     index-free baselines —
     the online Kangaroo matcher and (when [Shift_or.fits]) the
     bit-parallel Shift-Add automaton — a [packed-verify] subject that
@@ -66,8 +65,9 @@ val default_subjects : unit -> subject list
     [k = 0] cases, a [bidir-find-all] subject that rebuilds the
     bidirectional index from the case's raw text and runs the optimum
     search schemes executor ({!Oss.search}) on every budget, a
-    save/load roundtrip (current on-disk format)
-    queried through the M-tree engine, and an [fm-corruption]
+    save/load roundtrip (current on-disk format) that reloads the file
+    both by [Copy] and by [Mmap], queries each through the M-tree engine
+    and raises if the two disagree, and an [fm-corruption]
     subject that serializes the index and verifies that each of a
     pseudo-random battery of image corruptions (bit flips, truncations,
     ENOSPC prefixes) is either rejected with a typed error or decodes

@@ -390,7 +390,7 @@ let parse_request ~limits line =
                                 }
                           | Some (Json.String name) -> (
                               (* Typed rejection straight from the
-                                 registry: the message lists every
+                                 engine table: the message lists every
                                  valid name, and [-]/[_] spellings are
                                  both accepted. *)
                               match Core.Kmismatch.engine_of_string_err name with

@@ -1,4 +1,4 @@
-(* Bidirectional index, optimum search schemes, and the engine registry.
+(* Bidirectional index, optimum search schemes, and the engine table.
 
    - Scheme tables: structural validity and exhaustive completeness for
      every k <= 4 (every mismatch distribution with sum <= k admitted by
@@ -11,11 +11,11 @@
    - build_index parses its input exactly once: the indexed text is the
      normalized input byte for byte, and the reverse component is its
      exact mirror (regression for the double Dna.Sequence round-trip).
-   - Registry-derived parsing: spelling-insensitive engine_of_string,
+   - Table-derived parsing: spelling-insensitive engine_of_string,
      typed engine_of_string_err rejection listing every valid name.
-   - Extending the engine enum: one register call makes a stub engine
-     reachable from all_engines, engine_of_string, engine_names and the
-     fuzz oracle's subject list, and runnable through Kmismatch.run.
+   - Every entry of the static engine table appears in engine_names,
+     round-trips through engine_of_string and engine_name, and is a
+     fuzz oracle subject.
    - The engines bench cross-check smoke (kmm bench engines --smoke). *)
 
 open Core
@@ -164,8 +164,8 @@ let test_bidir_engine_agrees () =
     (fun (pattern, k) ->
       check hits_t
         (Printf.sprintf "bidir %s k=%d" pattern k)
-        (Kmismatch.search idx ~engine:Kmismatch.Naive ~pattern ~k)
-        (Kmismatch.search idx ~engine:Kmismatch.Bidir ~pattern ~k))
+        (Test_util.hits idx ~engine:Kmismatch.Naive ~pattern ~k)
+        (Test_util.hits idx ~engine:Kmismatch.Bidir ~pattern ~k))
     [
       ("acaga", 0);
       ("acaga", 1);
@@ -204,7 +204,7 @@ let test_build_index_normalization () =
     (naive_positions expected probe)
 
 (* ------------------------------------------------------------------ *)
-(* Registry-derived parsing                                            *)
+(* Table-derived parsing                                               *)
 
 let test_engine_spellings () =
   let e =
@@ -245,55 +245,23 @@ let test_engine_of_string_err () =
       Alcotest.failf "wrong error class: %s" (Kmm_error.to_string e)
 
 (* ------------------------------------------------------------------ *)
-(* One registration reaches every derived view                         *)
+(* Every table entry reaches every derived view                        *)
 
-type Kmismatch.engine += Stub
-
-let test_stub_engine_registration () =
-  let naive =
-    match Kmismatch.Engine_registry.find_name "naive" with
-    | Some e -> e
-    | None -> Alcotest.fail "naive not registered"
-  in
-  Kmismatch.Engine_registry.register
-    {
-      Kmismatch.Engine_registry.engine = Stub;
-      name = "stub-demo";
-      doc = "test double: delegates to the naive scan";
-      caps = naive.Kmismatch.Engine_registry.caps;
-      prepare = (fun _ -> ());
-      run = naive.Kmismatch.Engine_registry.run;
-    };
-  (* ... and the single registration is visible everywhere at once. *)
-  check bool "in all_engines" true
-    (List.exists (fun e -> e == Stub) (Kmismatch.all_engines ()));
-  check bool "parsed by engine_of_string" true
-    (Kmismatch.engine_of_string "STUB_DEMO" = Some Stub);
-  check Alcotest.string "named" "stub-demo" (Kmismatch.engine_name Stub);
-  check bool "in engine_names (CLI help source)" true
-    (List.mem "stub-demo" (Kmismatch.engine_names ()));
-  check bool "in the oracle subject list" true
-    (List.exists
-       (fun s -> s.Oracle.sub_name = "stub-demo")
-       (Oracle.default_subjects ()));
-  (* Runnable through the standard dispatch, answers like any engine. *)
-  let idx = Kmismatch.build_index "acagacagactt" in
-  check hits_t "dispatches"
-    (Kmismatch.search idx ~engine:Kmismatch.Naive ~pattern:"acaga" ~k:2)
-    (Kmismatch.search idx ~engine:Stub ~pattern:"acaga" ~k:2);
-  (* Duplicate registrations are rejected, by name and by engine. *)
-  (match
-     Kmismatch.Engine_registry.register
-       { naive with Kmismatch.Engine_registry.name = "stub-demo" }
-   with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate name accepted");
-  match
-    Kmismatch.Engine_registry.register
-      { naive with Kmismatch.Engine_registry.name = "fresh-name" }
-  with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate engine accepted"
+let test_table_derived_views () =
+  List.iter
+    (fun (e : Kmismatch.Engine_registry.entry) ->
+      let name = e.name in
+      check bool (name ^ " in engine_names (CLI help source)") true
+        (List.mem name (Kmismatch.engine_names ()));
+      check bool (name ^ " round-trips engine_of_string") true
+        (Kmismatch.engine_of_string name = Some e.engine);
+      check Alcotest.string (name ^ " named") name
+        (Kmismatch.engine_name e.engine);
+      check bool (name ^ " in the oracle subject list") true
+        (List.exists
+           (fun s -> s.Oracle.sub_name = name)
+           (Oracle.default_subjects ())))
+    (Kmismatch.Engine_registry.all ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -326,8 +294,8 @@ let () =
             test_engine_spellings;
           Alcotest.test_case "typed unknown-engine error" `Quick
             test_engine_of_string_err;
-          Alcotest.test_case "stub engine: one registration" `Quick
-            test_stub_engine_registration;
+          Alcotest.test_case "every entry in every derived view" `Quick
+            test_table_derived_views;
         ] );
       ( "bench",
         [

@@ -193,7 +193,7 @@ let prop_hybrid_unique_path =
         (int_range 0 4))
     (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
-      Kmismatch.search idx ~engine:Kmismatch.Hybrid ~pattern ~k
+      Test_util.hits idx ~engine:Kmismatch.Hybrid ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)
@@ -213,8 +213,10 @@ let test_stats_populated_by_engines () =
   let idx = Kmismatch.build_index "acgtacgtacgtacgtacgtgggg" in
   List.iter
     (fun engine ->
-      let stats = Stats.create () in
-      ignore (Kmismatch.search ~stats idx ~engine ~pattern:"acgta" ~k:1);
+      let stats =
+        (Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern:"acgta" ~k:1 ()))
+          .Kmismatch.Response.stats
+      in
       check bool
         (Kmismatch.engine_name engine ^ " counts work")
         true
@@ -239,7 +241,7 @@ let prop_m_tree_all_configs =
         (int_range 0 4) config_gen)
     (fun (text, pattern, k, config) ->
       let idx = Kmismatch.build_index text in
-      Kmismatch.search ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      Test_util.hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 let prop_m_tree_repetitive_configs =
@@ -252,7 +254,7 @@ let prop_m_tree_repetitive_configs =
     (fun (unit_str, (reps, pattern), k, config) ->
       let text = String.concat "" (List.init reps (fun _ -> unit_str)) in
       let idx = Kmismatch.build_index text in
-      Kmismatch.search ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      Test_util.hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)
