@@ -323,6 +323,7 @@ let deriv_stress () =
   let genome = rand 100_000 ^ str_region ^ rand 100_000 in
   let idx = Core.Kmismatch.build_index genome in
   let fm = Core.Kmismatch.fm_rev idx in
+  let ptext = Core.Kmismatch.packed_text idx in
   let pattern = String.sub genome 120_037 100 in
   let rows =
     List.concat_map
@@ -348,7 +349,7 @@ let deriv_stress () =
                 fm ~pattern ~k);
           run "A() default" (fun stats -> Core.M_tree.search ~stats fm ~pattern ~k);
           run "Hybrid (extension)" (fun stats ->
-              Core.Hybrid.search ~stats fm ~text:genome ~pattern ~k);
+              Core.Hybrid.search ~stats ~ptext fm ~pattern ~k);
         ])
       [ 2; 4; 6 ]
   in

@@ -130,7 +130,11 @@ let generate_cmd =
         seed;
       }
     in
-    let genome = Dna.Genome_gen.generate profile in
+    let genome =
+      match Dna.Genome_gen.generate profile with
+      | g -> g
+      | exception Invalid_argument msg -> fail_typed (Kmm_error.Bad_input msg)
+    in
     let record = { Dna.Fasta.name = rec_name; seq = genome } in
     (match out with
     | None -> print_string (Dna.Fasta.to_string [ record ])
@@ -166,7 +170,11 @@ let simulate_cmd =
   let run genome count len error_rate both seed out =
     let g = read_genome genome in
     let cfg = { Dna.Read_sim.count; len; error_rate; both_strands = both; seed } in
-    let reads = Dna.Read_sim.simulate cfg g in
+    let reads =
+      match Dna.Read_sim.simulate cfg g with
+      | r -> r
+      | exception Invalid_argument msg -> fail_typed (Kmm_error.Bad_input msg)
+    in
     let records =
       List.map
         (fun r ->
@@ -706,6 +714,10 @@ let serve_cmd =
   let run genome index_file mmap socket jobs batch_max max_queue send_timeout
       max_pattern max_k max_hits max_frame quiet trace metrics_out =
     if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
+    if batch_max < 1 then fail_typed (Kmm_error.Bad_input "--batch-max must be >= 1");
+    if max_queue < 1 then fail_typed (Kmm_error.Bad_input "--max-queue must be >= 1");
+    if not (send_timeout > 0.) then
+      fail_typed (Kmm_error.Bad_input "--send-timeout must be > 0");
     let corpus = obtain_corpus ~mmap ~genome ~index_file in
     let limits =
       { Kmm_server.Protocol.max_pattern; max_k; max_hits; max_frame }

@@ -9,10 +9,12 @@ let blocks ~pattern ~k =
       List.init b (fun i -> (i * len, String.sub pattern (i * len) len))
   end
 
-let search ?stats ?ptext ~pattern ~k text =
+let search ?stats ~ptext ~pattern ~k text =
   if pattern = "" then invalid_arg "Amir.search: empty pattern";
   if k < 0 then invalid_arg "Amir.search: negative k";
   let m = String.length pattern and n = String.length text in
+  if Fmindex.Packed_text.length ptext <> n then
+    invalid_arg "Amir.search: packed text and text lengths differ";
   (* budgets beyond m behave exactly like k = m; the clamp also keeps
      the 2k block count from overflowing for absurd budgets *)
   let k = min k m in
@@ -21,23 +23,14 @@ let search ?stats ?ptext ~pattern ~k text =
   else if k = 0 then
     List.map (fun p -> (p, 0)) (Stringmatch.Kmp.find_all ~pattern ~text)
   else begin
-    (* Window verification: word-parallel on the packed text when one
-       is supplied, an early-exit scalar scan otherwise.  Either way
-       O(k) on the overwhelmingly common quick rejections, and the
-       surviving (position, distance) pairs are identical. *)
-    let distance_within =
-      match ptext with
-      | Some pt when Fmindex.Packed_text.length pt = n ->
-          let pp = Fmindex.Packed_text.Pattern.make pattern in
-          fun pos -> Fmindex.Packed_text.hamming ~limit:k pt pp ~pos
-      | Some _ -> invalid_arg "Amir.search: packed text and text lengths differ"
-      | None -> fun pos -> Stringmatch.Hamming.distance_at ~limit:k ~pattern ~text pos
-    in
+    (* Window verification on the word-parallel kernel: O(k) on the
+       overwhelmingly common quick rejections. *)
+    let pp = Fmindex.Packed_text.Pattern.make pattern in
     let verify candidates =
       List.filter_map
         (fun pos ->
           Deadline.poll ();
-          let d = distance_within pos in
+          let d = Fmindex.Packed_text.hamming ~limit:k ptext pp ~pos in
           if d <= k then Some (pos, d) else None)
         candidates
     in

@@ -4,10 +4,12 @@
     of a block in the text (found with one Aho-Corasick pass) marks the
     implied candidate start; a window with at most [k] mismatches must
     exact-match at least [k] of the [2k] blocks, so candidates marked fewer
-    than [k] times are discarded and the survivors are verified with O(k)
-    kangaroo jumps.  When the pattern is too short to cut into [2k] useful
-    blocks, every position is verified directly (Amir's algorithm also
-    special-cases such patterns).  See DESIGN.md for the fidelity notes. *)
+    than [k] times are discarded and the survivors are verified on the
+    packed text by the word-parallel kernel
+    ({!Fmindex.Packed_text.hamming}).  When the pattern is too short to
+    cut into [2k] useful blocks, every position is verified directly
+    (Amir's algorithm also special-cases such patterns).  See DESIGN.md
+    for the fidelity notes. *)
 
 val blocks : pattern:string -> k:int -> (int * string) list
 (** The [(offset, block)] decomposition used for filtering; exposed for
@@ -15,15 +17,13 @@ val blocks : pattern:string -> k:int -> (int * string) list
 
 val search :
   ?stats:Stats.t ->
-  ?ptext:Fmindex.Packed_text.t ->
+  ptext:Fmindex.Packed_text.t ->
   pattern:string ->
   k:int ->
   string ->
   (int * int) list
-(** [search ~pattern ~k text] returns all [(position, distance)] with [distance <= k], ascending.  Raises
-    [Invalid_argument] on an empty pattern or negative [k].
-
-    With [?ptext] (the packed form of [text]; must be the same length,
-    or [Invalid_argument]) surviving candidates are verified by the
-    word-parallel kernel ({!Fmindex.Packed_text.hamming}) instead of a
-    scalar scan; the hits are identical either way. *)
+(** [search ~ptext ~pattern ~k text] returns all [(position, distance)]
+    with [distance <= k], ascending.  [ptext] is the packed form of
+    [text]; the block filter scans [text] and surviving candidates are
+    verified on [ptext].  Raises [Invalid_argument] on an empty pattern,
+    a negative [k], or a [ptext] whose length differs from [text]'s. *)

@@ -1,7 +1,7 @@
 module Fm = Fmindex.Fm_index
 module Packed_text = Fmindex.Packed_text
 
-let search ?(use_delta = true) ?stats ?ptext fm ~text ~pattern ~k =
+let search ?stats ~ptext fm ~pattern ~k =
   if pattern = "" then invalid_arg "Hybrid.search: empty pattern";
   if k < 0 then invalid_arg "Hybrid.search: negative k";
   String.iter
@@ -13,15 +13,12 @@ let search ?(use_delta = true) ?stats ?ptext fm ~text ~pattern ~k =
   let k = min k m in
   (* budgets beyond m behave exactly like k = m *)
   let n = Fm.length fm in
-  if n <> String.length text then
-    invalid_arg "Hybrid.search: index and text lengths differ";
+  if n <> Packed_text.length ptext then
+    invalid_arg "Hybrid.search: packed text and index lengths differ";
   let bump (f : Stats.t -> unit) = match stats with Some s -> f s | None -> () in
   if m > n then []
   else begin
-    let delta =
-      if use_delta then S_tree.delta_heuristic fm ~pattern
-      else Array.make (m + 2) 0
-    in
+    let delta = S_tree.delta_heuristic fm ~pattern in
     let pat_codes = Array.init m (fun i -> Dna.Alphabet.code pattern.[i]) in
     let results = ref [] in
     let locate_buf = ref [||] in
@@ -35,33 +32,16 @@ let search ?(use_delta = true) ?stats ?ptext fm ~text ~pattern ~k =
       done
     in
     let one = Array.make 1 0 in
-    (* Word-parallel verification when the packed forward text is
-       available: pack the pattern once per query.  (The kernel
-       recomputes the whole window rather than resuming at [j]; the
-       total is the same distance the scalar path reports.) *)
-    let packed =
-      match ptext with
-      | Some pt when Packed_text.length pt = n ->
-          Some (pt, Packed_text.Pattern.make pattern)
-      | Some _ ->
-          invalid_arg "Hybrid.search: packed text and index lengths differ"
-      | None -> None
-    in
-    (* Direct verification of the window once its start is pinned down:
-       [j] pattern characters already matched with [q] mismatches. *)
-    let verify pos j q =
+    (* Direct verification of the window once its start is pinned down,
+       on the word-parallel kernel with the pattern packed once per
+       query.  The kernel recomputes the whole window rather than
+       resuming after the [j] characters the BWT search matched; the
+       total is the same distance. *)
+    let pp = Packed_text.Pattern.make pattern in
+    let verify pos =
       if pos + m <= n then begin
-        match packed with
-        | Some (pt, pp) ->
-            let d = Packed_text.hamming ~limit:k pt pp ~pos in
-            if d <= k then results := (pos, d) :: !results
-        | None ->
-            let rec go j q =
-              if q > k then ()
-              else if j = m then results := (pos, q) :: !results
-              else go (j + 1) (if text.[pos + j] = pattern.[j] then q else q + 1)
-            in
-            go j q
+        let d = Packed_text.hamming ~limit:k ptext pp ~pos in
+        if d <= k then results := (pos, d) :: !results
       end
     in
     let rec expand iv j q =
@@ -75,7 +55,7 @@ let search ?(use_delta = true) ?stats ?ptext fm ~text ~pattern ~k =
         (* Unique candidate: leave the BWT and compare text directly. *)
         bump (fun s -> s.resumes <- s.resumes + 1);
         Fm.locate_into fm iv one;
-        verify (n - one.(0) - j) j q
+        verify (n - one.(0) - j)
       end
       else begin
         let los = Array.make 5 0 and his = Array.make 5 0 in
@@ -84,7 +64,7 @@ let search ?(use_delta = true) ?stats ?ptext fm ~text ~pattern ~k =
         for c = 1 to 4 do
           if los.(c) < his.(c) then begin
             let q' = if c = pat_codes.(j) then q else q + 1 in
-            if q' <= k && ((not use_delta) || k - q' >= delta.(j + 2)) then begin
+            if q' <= k && k - q' >= delta.(j + 2) then begin
               bump (fun s -> s.nodes <- s.nodes + 1);
               expand (los.(c), his.(c)) (j + 1) q'
             end

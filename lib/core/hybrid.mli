@@ -2,26 +2,22 @@
 
     Identical to the S-tree search while BWT intervals are wide, but the
     moment an interval narrows to a single row the unique candidate
-    position is located and the rest of the pattern is checked directly
-    against the text — no further rank operations.  This is how practical
+    position is located and the window is checked directly against the
+    packed text — no further rank operations.  This is how practical
     read aligners in the BWA family treat the deep, unary part of the
     search tree, and it is the natural modern baseline to measure the
     paper's derivation machinery against (see the ablation bench). *)
 
 val search :
-  ?use_delta:bool ->
   ?stats:Stats.t ->
-  ?ptext:Fmindex.Packed_text.t ->
+  ptext:Fmindex.Packed_text.t ->
   Fmindex.Fm_index.t ->
-  text:string ->
   pattern:string ->
   k:int ->
   (int * int) list
-(** [search fm_rev ~text ~pattern ~k]: [fm_rev] indexes [rev text]; the
-    forward [text] is used for direct verification.  Same contract as
-    {!S_tree.search}.
-
-    With [?ptext] (the packed forward text; must be the same length as
-    the index, or [Invalid_argument]) the verification step runs on the
-    word-parallel kernel ({!Fmindex.Packed_text.hamming}) instead of
-    comparing characters; the hits are identical either way. *)
+(** [search ~ptext fm_rev ~pattern ~k]: [fm_rev] indexes [rev text] and
+    [ptext] is the packed forward text, which the verification step
+    reads through the word-parallel kernel
+    ({!Fmindex.Packed_text.hamming}).  Same contract as
+    {!S_tree.search} with the delta heuristic.  Raises
+    [Invalid_argument] if [ptext] and the index differ in length. *)

@@ -139,11 +139,11 @@ module Engine_registry = struct
       name = "hybrid";
       doc = "FM search to a unique row, then word-parallel verification";
       caps = { scales = true };
-      prepare = force_text;
+      prepare = (fun t -> ignore (packed_text t));
       run =
         (fun t a ->
           Hybrid.search ~stats:a.stats ~ptext:(packed_text t) t.fm_rev
-            ~text:(text t) ~pattern:a.pattern ~k:a.k);
+            ~pattern:a.pattern ~k:a.k);
     }
 
   let cole =

@@ -416,12 +416,16 @@ let handle_conn t fd =
         loop ()
     | Line "" -> loop ()
     | Line line ->
+        (* Hang up only after a frame that arrived once the stop was
+           requested: every such frame gets a typed [Overloaded] refusal
+           from [submit], and frames the client already pipelined into
+           our buffer are consumed first.  A frame answered before the
+           stop goes back to read, so a late arrival is told why it was
+           refused instead of seeing a silent close; an idle connection
+           ends at the next read timeout. *)
+        let draining = stopping t in
         handle_frame line;
-        (* On stop, keep consuming frames the client already pipelined
-           into our buffer — each gets a typed [Overloaded] refusal from
-           [submit] — and only then hang up.  A late arrival is told why
-           it was refused instead of seeing a silent close. *)
-        if stopping t && not (Line_reader.buffered reader) then () else loop ()
+        if draining && not (Line_reader.buffered reader) then () else loop ()
   in
   (try loop () with
   | Conn_lost -> bump t "serve.conns_dropped"
@@ -546,6 +550,7 @@ let start cfg corpus =
     }
   in
   Fmindex.Fm_index.Telemetry.set_enabled true;
+  Fmindex.Packed_text.Telemetry.set_enabled true;
   (* The dispatcher gets a domain of its own, not a thread: with one
      pool domain it runs every batch inline, and a search running on the
      main domain would hold the runtime lock the acceptor and connection
@@ -583,6 +588,7 @@ let stop t =
     List.iter Thread.join conns;
     Core.Work_pool.shutdown t.pool;
     Fmindex.Fm_index.Telemetry.set_enabled false;
+    Fmindex.Packed_text.Telemetry.set_enabled false;
     (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
     t.cfg.log "stopped (drained)"
   end

@@ -38,10 +38,11 @@
       queued are answered without running at all.
     - [SIGINT]/[SIGTERM] (installed by {!serve}) request a clean drain:
       the listener stops accepting, queued queries are still answered,
-      frames a client already pipelined are answered with typed
-      [Overloaded] refusals ("shutting down"), every connection thread
-      then exits at its frame boundary, worker domains are joined, and
-      the socket file is unlinked.
+      frames that reach a connection after the stop are answered with
+      typed [Overloaded] refusals ("shutting down"), every connection
+      thread then exits at the frame boundary after its refusals (an
+      idle one at its next 250 ms read timeout), worker domains are
+      joined, and the socket file is unlinked.
     - A connection that ends mid-frame (truncated frame) is answered
       with a typed rejection if the peer can still read, then closed.
 
@@ -55,7 +56,8 @@
     [serve.errors], [serve.truncated], [serve.hits].  Histograms:
     [serve.request_ns] (admission to response write),
     [serve.batch_size], plus the {!Core.Work_pool} [pool.*] metrics and
-    per-query [engine.*]/[fm.*] counters.  The whole sink is exported
+    per-query [engine.*]/[fm.*]/[verify.*] counters (the last count
+    word-parallel window verifications).  The whole sink is exported
     live over the wire by the [metrics] command in Prometheus text
     format. *)
 

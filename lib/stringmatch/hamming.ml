@@ -25,5 +25,3 @@ let search ~pattern ~text ~k =
     if !d <= k then acc := (i, !d) :: !acc
   done;
   !acc
-
-let positions ~pattern ~text ~k = List.map fst (search ~pattern ~text ~k)

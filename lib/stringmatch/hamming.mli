@@ -14,5 +14,3 @@ val search : pattern:string -> text:string -> k:int -> (int * int) list
 (** All [(position, mismatches)] with [mismatches <= k], ascending by
     position.  Scanning aborts early per window once the budget is
     exceeded. *)
-
-val positions : pattern:string -> text:string -> k:int -> int list

@@ -103,5 +103,3 @@ let search ?ptext ~pattern ~k text =
     | _ ->
         if m <= scalar_fallback_max then scan_scalar ~pattern ~text ~k
         else scan_lce ~pattern ~text ~k
-
-let positions ~pattern ~text ~k = List.map fst (search ~pattern ~k text)

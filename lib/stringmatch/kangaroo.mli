@@ -3,7 +3,7 @@
     positions with O(1) longest-common-extension queries.
 
     This is the strongest *online* baseline class the paper compares
-    against, and the verification engine inside the Amir baseline. *)
+    against. *)
 
 type t
 
@@ -38,5 +38,3 @@ val search :
     predicts it beats LCE preprocessing; without it, patterns short
     enough that early-exit scans beat building the suffix structures
     fall back to scalar scans ({!Hamming.distance_at} with [?limit]). *)
-
-val positions : pattern:string -> text:string -> k:int -> int list

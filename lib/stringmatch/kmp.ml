@@ -11,10 +11,6 @@ let failure p =
   done;
   if m = 0 then [||] else f
 
-let period p =
-  let m = String.length p in
-  if m = 0 then 0 else m - (failure p).(m - 1)
-
 let find_all ~pattern ~text =
   let m = String.length pattern and n = String.length text in
   if m = 0 then List.init (n + 1) (fun i -> i)

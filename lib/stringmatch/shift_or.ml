@@ -1,24 +1,3 @@
-let max_pattern_length = 63
-
-let find_all ~pattern ~text =
-  let m = String.length pattern in
-  if m = 0 then invalid_arg "Shift_or.find_all: empty pattern";
-  if m > max_pattern_length then
-    invalid_arg "Shift_or.find_all: pattern longer than the machine word";
-  (* Shift-And formulation: bit j of [d] is set iff pattern[0..j] matches
-     the text ending at the current position. *)
-  let b = Array.make 256 0 in
-  String.iteri (fun j c -> b.(Char.code c) <- b.(Char.code c) lor (1 lsl j)) pattern;
-  let accept = 1 lsl (m - 1) in
-  let acc = ref [] in
-  let d = ref 0 in
-  String.iteri
-    (fun i c ->
-      d := ((!d lsl 1) lor 1) land b.(Char.code c);
-      if !d land accept <> 0 then acc := (i - m + 1) :: !acc)
-    text;
-  List.rev !acc
-
 (* Field width for the Shift-Add automaton: each field must count to k+1
    without touching its own top (overflow) bit, i.e. k+1 <= 2^(b-1) - 1.
    Computed without ever forming k+1 or shifting past bit 61, both of

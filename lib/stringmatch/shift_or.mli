@@ -1,18 +1,10 @@
-(** Bit-parallel matching (Baeza-Yates-Gonnet Shift-Or and its
-    counting-mismatch extension).
+(** Bit-parallel k-mismatch matching: the counting (Shift-Add)
+    extension of Baeza-Yates-Gonnet Shift-Or.
 
-    For patterns up to the machine word size (63 characters here), exact
-    matching runs one logical operation per text character, and the
-    k-mismatch variant keeps one counter automaton per allowed error.
-    These are the practical work-horses for short patterns and serve as
-    yet another independent oracle in the test suite. *)
-
-val max_pattern_length : int
-(** 63 on a 64-bit OCaml runtime. *)
-
-val find_all : pattern:string -> text:string -> int list
-(** Exact occurrences, ascending.  Raises [Invalid_argument] if the
-    pattern is empty or longer than {!max_pattern_length}. *)
+    For patterns that fit the 63-bit machine word, one counter field per
+    pattern position advances by a shift and an add per text character.
+    It is an independent oracle for the k-mismatch engines (the fuzz
+    oracle's [shift-add] subject). *)
 
 val search : pattern:string -> text:string -> k:int -> (int * int) list
 (** Shift-Add style matching with up to [k] mismatches: all

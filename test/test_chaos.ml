@@ -611,6 +611,23 @@ let client_retry_end_to_end () =
           | Error e ->
               Alcotest.fail ("never reached the daemon: " ^ Kmm_error.to_string e)))
 
+(* --- metrics ------------------------------------------------------------ *)
+
+let server_reports_verify_counters () =
+  (* bidir checks its candidate windows on the word-parallel kernel, so
+     one query must show up in the daemon's [verify.*] counters. *)
+  with_server (fun _t path ->
+      let c = S.Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> S.Client.close c)
+        (fun () ->
+          ignore
+            (expect_hits "bidir query"
+               (S.Client.query c ~engine:K.Bidir
+                  ~pattern:(String.sub text 4_321 40) ~k:2 ()));
+          Alcotest.(check bool) "verify calls counted" true
+            (server_metric c "verify_calls" > 0)))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -653,5 +670,10 @@ let () =
             client_connect_refused_typed;
           Alcotest.test_case "retry policy" `Quick client_retry_policy;
           Alcotest.test_case "retry end to end" `Quick client_retry_end_to_end;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "verify counters reported" `Quick
+            server_reports_verify_counters;
         ] );
     ]

@@ -174,13 +174,20 @@ let prop_shift_table_periodic =
         (List.init (m - 1) (fun i -> i + 1)))
 
 (* ------------------------------------------------------------------ *)
-(* Hybrid engine specifics                                              *)
+(* Hybrid and Amir engine specifics                                     *)
+
+let short_ptext = Fmindex.Packed_text.of_string "acgt"
 
 let test_hybrid_rejects_mismatched_text () =
   let idx = Kmismatch.build_index "acgtacgt" in
   match
-    Hybrid.search (Kmismatch.fm_rev idx) ~text:"acgt" ~pattern:"acg" ~k:1
+    Hybrid.search ~ptext:short_ptext (Kmismatch.fm_rev idx) ~pattern:"acg" ~k:1
   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument"
+
+let test_amir_rejects_mismatched_text () =
+  match Amir.search ~ptext:short_ptext ~pattern:"acg" ~k:1 "acgtacgt" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
@@ -365,6 +372,8 @@ let () =
           Alcotest.test_case "text length check" `Quick test_hybrid_rejects_mismatched_text;
           prop_hybrid_unique_path;
         ] );
+      ( "amir",
+        [ Alcotest.test_case "text length check" `Quick test_amir_rejects_mismatched_text ] );
       ( "stats",
         [
           Alcotest.test_case "reset" `Quick test_stats_reset;

@@ -42,20 +42,6 @@ let test_kmp_basics () =
 let test_kmp_failure () =
   check (Alcotest.array int) "border table" [| 0; 0; 1; 2 |] (Kmp.failure "acac")
 
-let test_period () =
-  check int "acac" 2 (Kmp.period "acac");
-  check int "aaaa" 1 (Kmp.period "aaaa");
-  check int "acgt" 4 (Kmp.period "acgt");
-  check int "empty" 0 (Kmp.period "")
-
-let test_bm_basics () =
-  check int_list "single" [ 3 ] (Boyer_moore.find_all ~pattern:"gatt" ~text:"acggattaca");
-  check int_list "repeat" [ 0; 1; 2; 3 ] (Boyer_moore.find_all ~pattern:"aaa" ~text:"aaaaaa")
-
-let test_z_array () =
-  check (Alcotest.array int) "z of aaaa" [| 4; 3; 2; 1 |] (Zalgo.z_array "aaaa");
-  check (Alcotest.array int) "z of acgt" [| 4; 0; 0; 0 |] (Zalgo.z_array "acgt")
-
 (* ------------------------------------------------------------------ *)
 (* Aho-Corasick                                                        *)
 
@@ -115,11 +101,11 @@ let test_hamming_paper_example () =
 let test_hamming_k0_is_exact () =
   let text = "acgtacgt" and pattern = "acg" in
   check int_list "k=0" (Naive.find_all ~pattern ~text)
-    (Hamming.positions ~pattern ~text ~k:0)
+    (List.map fst (Hamming.search ~pattern ~text ~k:0))
 
 let test_hamming_k_ge_m_matches_everywhere () =
   let text = "acgtacgt" and pattern = "ttt" in
-  check int "k >= m" 6 (List.length (Hamming.positions ~pattern ~text ~k:3))
+  check int "k >= m" 6 (List.length (Hamming.search ~pattern ~text ~k:3))
 
 let test_kangaroo_mismatch_positions () =
   let t = Kangaroo.make ~pattern:"aaca" ~text:"atcaaaca" in
@@ -158,15 +144,8 @@ let () =
          [
            Alcotest.test_case "basics" `Quick test_kmp_basics;
            Alcotest.test_case "failure table" `Quick test_kmp_failure;
-           Alcotest.test_case "period" `Quick test_period;
          ]
          @ agree_with_naive "kmp" Kmp.find_all );
-       ( "boyer_moore",
-         Alcotest.test_case "basics" `Quick test_bm_basics
-         :: agree_with_naive "boyer-moore" Boyer_moore.find_all );
-       ( "zalgo",
-         Alcotest.test_case "z array" `Quick test_z_array
-         :: agree_with_naive "zalgo" Zalgo.find_all );
        ( "aho_corasick",
          [
            Alcotest.test_case "multi pattern" `Quick test_ac_multi;
