@@ -29,22 +29,27 @@ type index = {
          forces it (one suffix-array build of the forward text). *)
 }
 
-let make_index ~text_memo fm_rev =
-  let tree =
-    Fmindex.Storage.Memo.make (fun () ->
-        Suffix.Suffix_tree.build (Fmindex.Storage.Memo.force text_memo))
-  in
+let make_index ?text fm_rev =
   let pforward =
     Fmindex.Storage.Memo.make (fun () ->
         Fmindex.Packed_text.rev (Fmindex.Fm_index.packed_text fm_rev))
   in
+  let text =
+    Fmindex.Storage.Memo.make (fun () ->
+        match text with
+        | Some s -> s
+        | None ->
+            Fmindex.Packed_text.to_string (Fmindex.Storage.Memo.force pforward))
+  in
+  let tree =
+    Fmindex.Storage.Memo.make (fun () ->
+        Suffix.Suffix_tree.build (Fmindex.Storage.Memo.force text))
+  in
   let bidir =
     Fmindex.Storage.Memo.make (fun () ->
-        Fmindex.Bidir.make
-          ~text:(Fmindex.Storage.Memo.force text_memo)
-          ~fm_rev)
+        Fmindex.Bidir.make ~ptext:(Fmindex.Storage.Memo.force pforward) ~fm_rev)
   in
-  { text = text_memo; fm_rev; tree; pforward; bidir }
+  { text; fm_rev; tree; pforward; bidir }
 
 let build_index ?occ_rate ?sa_rate raw =
   (* Validate and normalize exactly once; the reverse is derived from
@@ -53,9 +58,7 @@ let build_index ?occ_rate ?sa_rate raw =
   let seq = Dna.Sequence.of_string raw in
   let text = Dna.Sequence.to_string seq in
   let rev = Dna.Sequence.to_string (Dna.Sequence.rev seq) in
-  make_index
-    ~text_memo:(Fmindex.Storage.Memo.make (fun () -> text))
-    (Fmindex.Fm_index.build ?occ_rate ?sa_rate rev)
+  make_index ~text (Fmindex.Fm_index.build ?occ_rate ?sa_rate rev)
 
 let of_sequence seq = build_index (Dna.Sequence.to_string seq)
 let text t = Fmindex.Storage.Memo.force t.text
@@ -439,16 +442,9 @@ let run t q =
 
 let save_index t path = Fmindex.Fm_index.save t.fm_rev path
 
-let of_fm fm_rev =
-  (* Loaded indexes derive the forward text on demand: the FM-index keeps
-     only the 2-bit packed reverse, and an mmap'd load must stay O(1). *)
-  make_index
-    ~text_memo:
-      (Fmindex.Storage.Memo.make (fun () ->
-           Dna.Sequence.to_string
-             (Dna.Sequence.rev
-                (Dna.Sequence.of_string (Fmindex.Fm_index.text fm_rev)))))
-    fm_rev
+(* Loaded indexes derive the forward text on demand: the FM-index keeps
+   only the 2-bit packed reverse, and an mmap'd load must stay O(1). *)
+let of_fm fm_rev = make_index fm_rev
 
 let load_index ?mode path = of_fm (Fmindex.Fm_index.load ?mode path)
 

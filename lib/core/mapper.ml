@@ -187,9 +187,11 @@ let run_target opts target ~reads ~k =
   let bounds = Work_pool.chunks ~total:n ~chunk_size in
   (* Never keep more domains than there are chunks of work. *)
   let domains = max 1 (min domains (Array.length bounds)) in
-  (* Force shared derived state (suffix tree, unpacked text) before the
-     fan-out so workers don't serialize on its first use. *)
-  if domains > 1 then target.tgt_prepare engine;
+  (* Force the derived state the engine reads (the bidirectional index,
+     the packed text, ...) before the fan-out, so workers don't
+     serialize on its first use and its cost is timed as prepare, not
+     search, on one domain too. *)
+  if n > 0 then target.tgt_prepare engine;
   (* Per-domain counters and sinks, merged in worker-index order at the
      end, so the reported totals match a sequential run exactly.
      ([Obs.fork] of the noop sink is noop: observability off costs one

@@ -74,10 +74,13 @@ let fm_packed_find_all =
   }
 
 (* Persistence under fuzz: the index is saved (format v4), reloaded
-   both by copy and by mmap, and queried through the M-tree engine.  The
-   two loads must agree with each other (a mismatch is raised, so it is
-   recorded as a divergence), and the copy load's answer is diffed
-   against the reference like any other subject. *)
+   both by copy and by mmap, and queried through the M-tree engine, and
+   the mmap load also through the bidirectional engine — the path of
+   [kmm map --mmap --engine bidir], whose forward side is rebuilt from
+   the loaded payload.  Every answer must agree with the copy load's (a
+   mismatch is raised, so it is recorded as a divergence), and the copy
+   load's answer is diffed against the reference like any other
+   subject. *)
 let fm_save_roundtrip =
   {
     sub_name = "fm-save-roundtrip";
@@ -88,12 +91,16 @@ let fm_save_roundtrip =
           ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
           (fun () ->
             Kmismatch.save_index idx path;
-            let hits mode =
-              query (Kmismatch.load_index ~mode path) Kmismatch.M_tree c
+            let copied =
+              query
+                (Kmismatch.load_index ~mode:Fmindex.Fm_index.Copy path)
+                Kmismatch.M_tree c
             in
-            let copied = hits Fmindex.Fm_index.Copy in
-            if hits Fmindex.Fm_index.Mmap <> copied then
+            let mapped = Kmismatch.load_index ~mode:Fmindex.Fm_index.Mmap path in
+            if query mapped Kmismatch.M_tree c <> copied then
               failwith "mmap-loaded index disagrees with the copy-loaded one";
+            if query mapped Kmismatch.Bidir c <> copied then
+              failwith "bidir on the mmap-loaded index disagrees with m-tree";
             Some copied));
   }
 
@@ -185,11 +192,10 @@ let bidir_find_all =
           String.init (String.length c.text) (fun i ->
               c.text.[String.length c.text - 1 - i])
         in
-        let bd =
-          Fmindex.Bidir.make ~text:c.text
-            ~fm_rev:(Fmindex.Fm_index.build rev)
-        in
         let ptext = Fmindex.Packed_text.of_string c.text in
+        let bd =
+          Fmindex.Bidir.make ~ptext ~fm_rev:(Fmindex.Fm_index.build rev)
+        in
         Some (Oss.search ~ptext bd ~pattern:c.pattern ~k:c.k));
   }
 

@@ -12,30 +12,35 @@ let of_suffix_array s sa =
 
 let of_text s = of_suffix_array s (Suffix.Suffix_array.build s)
 
+(* SA-IS straight over the 2-bit lanes: the same level code as
+   [Suffix_array.build], reading the packed buffer at level 0. *)
+module Packed_sa = Suffix.Suffix_array.Make (struct
+  type t = Packed_text.t
+
+  let get = Packed_text.unsafe_get
+end)
+
+let suffix_array pt = Packed_sa.build pt ~len:(Packed_text.length pt) ~sigma:4
+
 (* The packed BWT skips the sentinel row entirely: lane j holds the
    (j < sentinel_row ? j : j+1)-th BWT character.  Row 0 of the matrix of
    s^"$" starts with the sentinel suffix, so its L-character is s[n-1];
    the sentinel itself appears in L at the row of the suffix starting at
    position 0, i.e. row 1 + (index of 0 in sa). *)
-let packed_of_suffix_array s sa =
-  let n = String.length s in
+let packed_of_suffix_array pt sa =
+  let n = Packed_text.length pt in
   if n = 0 then (Packed_text.empty, 0)
   else begin
     let sentinel_row = ref 0 in
     Array.iteri (fun i h -> if h = 0 then sentinel_row := i + 1) sa;
     let sentinel_row = !sentinel_row in
-    let lane_of_char c =
-      match Packed_text.code_of_base c with
-      | Some d -> d
-      | None -> invalid_arg "Bwt.packed_of_suffix_array: text must be acgt"
-    in
-    let pt =
+    let bwt =
       Packed_text.init n (fun j ->
           let row = if j < sentinel_row then j else j + 1 in
-          if row = 0 then lane_of_char s.[n - 1]
-          else lane_of_char s.[sa.(row - 1) - 1])
+          if row = 0 then Packed_text.unsafe_get pt (n - 1)
+          else Packed_text.unsafe_get pt (sa.(row - 1) - 1))
     in
-    (pt, sentinel_row)
+    (bwt, sentinel_row)
   end
 
 let inverse l =

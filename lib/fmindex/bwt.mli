@@ -10,8 +10,13 @@ val of_text : string -> string
 val of_suffix_array : string -> int array -> string
 (** Same, given a precomputed suffix array of [s] (without sentinel). *)
 
-val packed_of_suffix_array : string -> int array -> Packed_text.t * int
-(** [packed_of_suffix_array s sa] is the 2-bit packed BWT with its
+val suffix_array : Packed_text.t -> int array
+(** Suffix array of a packed text (without sentinel), built by the
+    SA-IS of {!Suffix.Suffix_array} reading the 2-bit lanes directly:
+    the text is never unpacked. *)
+
+val packed_of_suffix_array : Packed_text.t -> int array -> Packed_text.t * int
+(** [packed_of_suffix_array s sa] is the 2-bit packed BWT of [s] with its
     sentinel removed, paired with the sentinel's row index — the form the
     packed FM-index core consumes, built without materializing the
     byte-per-character BWT string. *)

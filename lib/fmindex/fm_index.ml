@@ -139,14 +139,14 @@ let text_memo_of_packed ptext =
 
 let build ?(occ_rate = 32) ?(sa_rate = 16) text =
   if sa_rate <= 0 then invalid_arg "Fm_index.build: sa_rate must be positive";
-  String.iter
-    (fun c ->
-      if not (Dna.Alphabet.is_base c) || c <> Dna.Alphabet.normalize c then
-        invalid_arg "Fm_index.build: text must be lowercase acgt")
-    text;
+  let ptext =
+    try Packed_text.of_string text
+    with Invalid_argument _ ->
+      invalid_arg "Fm_index.build: text must be lowercase acgt"
+  in
   let n = String.length text in
-  let sa = Suffix.Suffix_array.build text in
-  let packed, sentinel_row = Bwt.packed_of_suffix_array text sa in
+  let sa = Bwt.suffix_array ptext in
+  let packed, sentinel_row = Bwt.packed_of_suffix_array ptext sa in
   let occ = Occ.of_packed ~rate:occ_rate ~sentinels:[| sentinel_row |] packed in
   let c_array = c_array_of_counts (Occ.counts occ) in
   (* Row i of the matrix of text^"$" corresponds to suffix position:
@@ -175,7 +175,7 @@ let build ?(occ_rate = 32) ?(sa_rate = 16) text =
   assert (total = !nsamples);
   {
     n;
-    ptext = Packed_text.of_string text;
+    ptext;
     text = Storage.Memo.make (fun () -> text);
     occ;
     c_array;

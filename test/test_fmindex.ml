@@ -22,6 +22,13 @@ let prop_bwt_roundtrip =
   Test_util.qtest ~count:300 "inverse . of_text = id" (Test_util.dna_gen ~hi:300 ())
     (fun s -> Bwt.inverse (Bwt.of_text s) = s)
 
+(* The index builds run SA-IS over the 2-bit lanes, the string builder
+   over bytes: one level code, two symbol readers. *)
+let prop_packed_suffix_array =
+  Test_util.qtest ~count:300 "packed SA-IS = byte SA-IS" (Test_util.dna_gen ~hi:400 ())
+    (fun s ->
+      Bwt.suffix_array (Packed_text.of_string s) = Suffix.Suffix_array.build s)
+
 let test_bwt_inverse_rejects () =
   let expect_invalid l =
     match Bwt.inverse l with
@@ -287,6 +294,7 @@ let () =
           Alcotest.test_case "inverse rejects" `Quick test_bwt_inverse_rejects;
           Alcotest.test_case "is permutation" `Quick test_bwt_is_permutation;
           prop_bwt_roundtrip;
+          prop_packed_suffix_array;
         ] );
       ( "occ",
         [

@@ -285,6 +285,19 @@ let prop_kmismatch_index_roundtrip =
           && Test_util.hits idx' ~engine:Kmismatch.M_tree ~pattern ~k
              = Test_util.hits idx ~engine:Kmismatch.M_tree ~pattern ~k))
 
+(* The on-disk bytes of one fixed index, pinned by CRC-32 against the
+   value the format had when this test was written: any change to the
+   suffix array, the BWT or the layout fails here. *)
+let test_golden_index_bytes () =
+  let g =
+    Dna.Genome_gen.generate { Dna.Genome_gen.default with size = 50_000; seed = 2017 }
+  in
+  with_temp (fun path ->
+      Kmismatch.save_index (Kmismatch.of_sequence g) path;
+      let image = In_channel.with_open_bin path In_channel.input_all in
+      check int "size" 69_088 (String.length image);
+      check int "crc32" 0x2144df1c (Fmindex.Crc32.string image))
+
 (* ------------------------------------------------------------------ *)
 (* Mapper                                                               *)
 
@@ -348,6 +361,27 @@ let test_mapper_summary_consistency () =
   check int "mapped = unique + ambiguous" summary.Mapper.mapped
     (summary.Mapper.unique + summary.Mapper.ambiguous)
 
+(* Prepare runs once for a batch of at least one read, on one domain
+   too (so the prepare timing, not the search, holds the engine's
+   set-up), and never for an empty batch. *)
+let test_mapper_prepares_once () =
+  let idx = Kmismatch.build_index "acgtacgttgcaacgtaccgt" in
+  let base = Mapper.target_of_index idx in
+  let calls = ref 0 in
+  let target =
+    { base with Mapper.tgt_prepare = (fun e -> incr calls; base.Mapper.tgt_prepare e) }
+  in
+  let run reads =
+    ignore
+      (Mapper.run_target
+         { Mapper.default with engine = Kmismatch.Bidir; domains = 1 }
+         target ~reads ~k:1)
+  in
+  run [];
+  check int "no reads: no prepare" 0 !calls;
+  run [ (0, "acgtacg") ];
+  check int "one read: one prepare" 1 !calls
+
 let test_best_hits () =
   let mk read_id pos distance = { Mapper.read_id; pos; strand = `Forward; distance } in
   let hits = [ mk 0 5 2; mk 0 9 1; mk 0 12 1; mk 1 3 0 ] in
@@ -399,12 +433,14 @@ let () =
           prop_fm_roundtrip;
           prop_fm_roundtrip_rates;
           prop_kmismatch_index_roundtrip;
+          Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
         ] );
       ( "mapper",
         [
           Alcotest.test_case "planted reads" `Quick test_mapper_finds_planted_reads;
           Alcotest.test_case "strand handling" `Quick test_mapper_single_strand;
           Alcotest.test_case "summary consistency" `Quick test_mapper_summary_consistency;
+          Alcotest.test_case "prepare once per batch" `Quick test_mapper_prepares_once;
           Alcotest.test_case "best hits" `Quick test_best_hits;
           Alcotest.test_case "tsv" `Quick test_to_tsv;
           prop_mapper_matches_engine;

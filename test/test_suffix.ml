@@ -23,7 +23,12 @@ let test_sa_known_banana_like () =
 
 let test_sa_empty_and_single () =
   check int_array "empty" [||] (Suffix_array.build "");
-  check int_array "single" [| 0 |] (Suffix_array.build "g")
+  check int_array "single" [| 0 |] (Suffix_array.build "g");
+  List.iter
+    (fun s ->
+      check int_array (String.escaped s) (Suffix_array.build_naive s)
+        (Suffix_array.build s))
+    [ "\000"; "\255"; "aa"; "ac"; "ca"; "\000\000"; "\255\000"; "\000\255" ]
 
 let test_sa_valid_on_corpus () =
   let st = Random.State.make [| 17 |] in
@@ -60,6 +65,68 @@ let test_sa_periodic () =
         ("periodic " ^ String.sub s 0 (min 12 (String.length s)))
         (Suffix_array.build_doubling s) (Suffix_array.build s))
     [ reps "acg" 50; reps "at" 100; reps "aacg" 33; reps "a" 64; reps "gacgt" 20 ]
+
+(* Arbitrary bytes, the extremes included: the byte alphabet is the
+   full 0..255, with the sentinel kept virtual (below every byte). *)
+let byte_gen =
+  QCheck2.Gen.(
+    string_size ~gen:(frequency [ (4, char); (1, oneofl [ '\000'; '\255' ]) ]) (int_range 0 300))
+
+let prop_sais_bytes =
+  Test_util.qtest ~count:300 "SA-IS = doubling on arbitrary bytes" byte_gen
+    (fun s -> Suffix_array.build s = Suffix_array.build_doubling s)
+
+let test_sa_all_byte_values () =
+  let st = Random.State.make [| 256 |] in
+  let s =
+    String.init 2048 (fun i ->
+        if i < 256 then Char.chr (255 - i) else Char.chr (Random.State.int st 256))
+  in
+  check int_array "all 256 values" (Suffix_array.build_doubling s) (Suffix_array.build s)
+
+(* Fibonacci and Thue-Morse words reduce to strings of the same kind,
+   so SA-IS recurses on them level after level (six levels and more at
+   these lengths). *)
+let fibonacci_word n =
+  let rec go a b = if String.length b >= n then String.sub b 0 n else go b (b ^ a) in
+  go "a" "ab"
+
+let thue_morse_word n =
+  let bit i =
+    let rec ones i = if i = 0 then 0 else (i land 1) + ones (i lsr 1) in
+    ones i land 1
+  in
+  String.init n (fun i -> if bit i = 0 then 'a' else 'c')
+
+let test_sa_recursive_words () =
+  List.iter
+    (fun (name, s) ->
+      check int_array name (Suffix_array.build_doubling s) (Suffix_array.build s))
+    [
+      ("fibonacci 4181", fibonacci_word 4181);
+      ("fibonacci 5000", fibonacci_word 5000);
+      ("thue-morse 4096", thue_morse_word 4096);
+      ("thue-morse 3000", thue_morse_word 3000);
+    ]
+
+(* The level code over another reader: symbols are checked against
+   [sigma] once, before any unchecked bucket access. *)
+module Int_sa = Suffix_array.Make (struct
+  type t = int array
+
+  let get = Array.get
+end)
+
+let test_sa_symbol_reader () =
+  check int_array "int reader = byte reader"
+    (Suffix_array.build "\002\000\001\002\002")
+    (Int_sa.build [| 2; 0; 1; 2; 2 |] ~len:5 ~sigma:3);
+  Alcotest.check_raises "symbol >= sigma"
+    (Invalid_argument "Suffix_array: symbol out of range") (fun () ->
+      ignore (Int_sa.build [| 0; 3 |] ~len:2 ~sigma:3));
+  Alcotest.check_raises "negative symbol"
+    (Invalid_argument "Suffix_array: symbol out of range") (fun () ->
+      ignore (Int_sa.build [| -1; 0 |] ~len:2 ~sigma:3))
 
 let test_rank_of () =
   let sa = Suffix_array.build "acagaca" in
@@ -250,6 +317,10 @@ let () =
           Alcotest.test_case "rank_of inverse" `Quick test_rank_of;
           prop_sais_equals_doubling;
           prop_sais_valid;
+          prop_sais_bytes;
+          Alcotest.test_case "all 256 byte values" `Quick test_sa_all_byte_values;
+          Alcotest.test_case "fibonacci and thue-morse" `Quick test_sa_recursive_words;
+          Alcotest.test_case "symbol reader and range check" `Quick test_sa_symbol_reader;
         ] );
       ( "lcp",
         [
