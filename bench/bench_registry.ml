@@ -1,13 +1,10 @@
 (* The single dispatch table behind both benchmark entry points.
 
    `kmm bench NAME` (bin/kmm.ml) and `dune exec bench/main.exe NAME`
-   (bench/main.ml) used to keep separate hardcoded lists, and they
-   drifted: the CLI only knew rank-locate while the harness alone
-   registered map-throughput, and each error message hardcoded its own
-   "available:" text.  Every machine-runnable benchmark now registers
-   here exactly once; both front ends dispatch over [all] and derive
-   their "available:" strings from it, so the two can never disagree
-   again.  (The paper-reproduction experiments — table1, fig11a, ... —
+   (bench/main.ml) both dispatch over [all] and derive their
+   "available:" strings from it, so every machine-runnable benchmark
+   registers here exactly once and the two front ends cannot drift
+   apart.  (The paper-reproduction experiments — table1, fig11a, ... —
    and the bechamel micro suite stay local to bench/main.exe: they are
    harness workloads, not CLI benchmarks.) *)
 
@@ -18,7 +15,7 @@ type ctx = {
   seed : int;
   connections : int list;  (* serve: connection counts to sweep *)
   queries : int;  (* serve: queries per sweep point *)
-  jobs : int;  (* serve: pool domains; 0 = all cores *)
+  jobs : int;  (* serve: pool domains, >= 1 *)
   smoke : bool;
       (* replay the benchmark's cross-checks only — no timing, no JSON.
          Honored by benches with a headless parity mode (verify). *)
@@ -32,7 +29,7 @@ let default_ctx =
     seed = 42;
     connections = [ 1; 2; 4; 8 ];
     queries = 2_000;
-    jobs = 0;
+    jobs = Core.Work_pool.default_domains ();
     smoke = false;
   }
 
@@ -47,14 +44,6 @@ let all =
          count and locate workloads (cross-checked; appends to BENCH_fmindex.json)";
       run =
         (fun c -> Rank_locate.run ~obs:c.obs ?out:c.out ?size:c.size ~seed:c.seed ());
-    };
-    {
-      name = "map-throughput";
-      doc =
-        "parallel batch mapper reads/sec vs. domain count on a 100 kbp genome \
-         (byte-identity re-checked; appends to BENCH_map.json; fixed workload — \
-         ignores --size/--seed)";
-      run = (fun _ -> Map_throughput.run ());
     };
     {
       name = "load-modes";

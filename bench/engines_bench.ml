@@ -7,12 +7,12 @@
 
      small   every registered engine, reference matchers included —
              the cross-check tier (all answers must be identical);
-     large   only engines whose table entry says [caps.scales] —
+     large   only engines for which [Kmismatch.scales] holds —
              the timing tier the paper-style comparison reads.
 
    The roster, the names and the scales gating all come from the static
-   engine table [Kmismatch.Engine_registry]: an engine added there joins
-   this campaign with no change here.
+   engine table behind [Kmismatch.all_engines]: an engine added there
+   joins this campaign with no change here.
 
    Every (engine, k, length) cell's hit list is compared against the
    first engine's answer on the same reads; any divergence fails the
@@ -20,7 +20,6 @@
    BENCH_engines.json). *)
 
 module K = Core.Kmismatch
-module Registry = K.Engine_registry
 
 let default_small = 30_000
 let default_large = 1_000_000
@@ -67,17 +66,17 @@ type row = {
 (* One tier: build the index once, then time every admitted engine on
    every (k, len) cell over the same planted reads.  The first admitted
    engine's hit lists are the cross-check baseline. *)
-let bench_tier ?(quiet = false) ~obs ~tier ~seed ~entries size =
+let bench_tier ?(quiet = false) ~obs ~tier ~seed ~engines size =
   let st = Random.State.make [| seed; size; 0x1dc |] in
   let text =
     Dna.Sequence.to_string (Dna.Sequence.random ~state:st size)
   in
   let idx, build_s = Bench_util.time (fun () -> K.build_index text) in
-  List.iter (fun e -> e.Registry.prepare idx) entries;
+  List.iter (K.prepare idx) engines;
   if not quiet then
     Bench_util.note "%s tier: %s bp indexed in %s; engines: %s"
       tier (Bench_util.fmt_count size) (Bench_util.fmt_time build_s)
-      (String.concat ", " (List.map (fun e -> e.Registry.name) entries));
+      (String.concat ", " (List.map K.engine_name engines));
   let cells =
     List.concat_map (fun len -> List.map (fun k -> (len, k)) budgets) read_lens
   in
@@ -97,9 +96,7 @@ let bench_tier ?(quiet = false) ~obs ~tier ~seed ~entries size =
                       List.iter
                         (fun pattern ->
                           let r =
-                            K.run idx
-                              (K.Query.make ~engine:e.Registry.engine ~pattern
-                                 ~k ())
+                            K.run idx (K.Query.make ~engine:e ~pattern ~k ())
                           in
                           answers := r.K.Response.hits :: !answers)
                         reads))
@@ -115,7 +112,7 @@ let bench_tier ?(quiet = false) ~obs ~tier ~seed ~entries size =
             {
               tier;
               size;
-              engine = e.Registry.name;
+              engine = K.engine_name e;
               len;
               k;
               reads = nreads;
@@ -123,7 +120,7 @@ let bench_tier ?(quiet = false) ~obs ~tier ~seed ~entries size =
               hits = List.fold_left (fun a h -> a + List.length h) 0 answers;
               agree;
             })
-          entries)
+          engines)
     cells
 
 let run ?(obs = Obs.noop) ?(out = "BENCH_engines.json") ?size ?(seed = 42) () =
@@ -132,16 +129,16 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_engines.json") ?size ?(seed = 42) () =
     | Some s -> (min s default_small, s)
     | None -> (default_small, default_large)
   in
-  let all = Registry.all () in
-  let scaling = List.filter (fun e -> e.Registry.caps.Registry.scales) all in
+  let all = K.all_engines () in
+  let scaling = List.filter K.scales all in
   Bench_util.section "engines: registered engines head to head";
   Bench_util.note
     "small tier cross-checks every registered engine; large tier times the \
      [scales] subset.  Every cell's hits compared against the first engine's";
   let rows =
     Obs.span obs "bench.engines" (fun () ->
-        bench_tier ~obs ~tier:"small" ~seed ~entries:all small
-        @ bench_tier ~obs ~tier:"large" ~seed ~entries:scaling large)
+        bench_tier ~obs ~tier:"small" ~seed ~engines:all small
+        @ bench_tier ~obs ~tier:"large" ~seed ~engines:scaling large)
   in
   Bench_util.table
     ~header:[ "tier"; "size"; "engine"; "m"; "k"; "reads"; "avg/read"; "hits"; "agree" ]
@@ -199,7 +196,7 @@ let run ?(obs = Obs.noop) ?(out = "BENCH_engines.json") ?size ?(seed = 42) () =
 let smoke ?(size = 4_000) ?(seed = 7) () =
   let rows =
     bench_tier ~quiet:true ~obs:Obs.noop ~tier:"small" ~seed
-      ~entries:(Registry.all ()) size
+      ~engines:(K.all_engines ()) size
   in
   List.iter
     (fun r ->

@@ -237,27 +237,23 @@ let ablation () =
   let m_skip =
     avg_search_time ~stats:(Core.Stats.create ()) idx Core.Kmismatch.M_tree ~reads:rs ~k
   in
-  let m_noskip =
-    let total =
-      time_unit (fun () ->
-          List.iter
-            (fun pattern ->
-              ignore
-                (Core.Kmismatch.run idx
-                   (Core.Kmismatch.Query.make
-                      ~config:
-                        {
-                          Core.M_tree.default_config with
-                          Core.M_tree.chain_skip = false;
-                        }
-                      ~engine:Core.Kmismatch.M_tree ~pattern ~k ())))
-            rs)
-    in
-    total /. float_of_int (List.length rs)
+  (* The settings below are not engines of the table: time the engine
+     modules directly on the same index. *)
+  let fm = Core.Kmismatch.fm_rev idx in
+  let avg_direct search =
+    time_unit (fun () -> List.iter (fun pattern -> ignore (search pattern)) rs)
+    /. float_of_int (List.length rs)
   in
-  let s_plain = avg_search_time idx Core.Kmismatch.S_tree_no_delta ~reads:rs ~k in
+  let m_noskip =
+    avg_direct (fun pattern ->
+        Core.M_tree.search
+          ~config:{ Core.M_tree.default_config with chain_skip = false }
+          fm ~pattern ~k)
+  in
+  let s_plain =
+    avg_direct (fun pattern -> Core.S_tree.search ~use_delta:false fm ~pattern ~k)
+  in
   let s_delta = avg_search_time idx Core.Kmismatch.S_tree ~reads:rs ~k in
-  let hybrid = avg_search_time idx Core.Kmismatch.Hybrid ~reads:rs ~k in
   table
     ~header:[ "variant"; "avg time/read" ]
     [
@@ -265,7 +261,6 @@ let ablation () =
       [ "A() node-by-node derivation"; fmt_time m_noskip ];
       [ "S-tree + delta heuristic"; fmt_time s_delta ];
       [ "S-tree plain (no reuse at all)"; fmt_time s_plain ];
-      [ "Hybrid FM+verify (extension)"; fmt_time hybrid ];
     ];
 
   (* 2. rankall compression rate: space/time trade-off of SS:III.A.
@@ -323,7 +318,6 @@ let deriv_stress () =
   let genome = rand 100_000 ^ str_region ^ rand 100_000 in
   let idx = Core.Kmismatch.build_index genome in
   let fm = Core.Kmismatch.fm_rev idx in
-  let ptext = Core.Kmismatch.packed_text idx in
   let pattern = String.sub genome 120_037 100 in
   let rows =
     List.concat_map
@@ -348,8 +342,6 @@ let deriv_stress () =
                 ~config:{ Core.M_tree.default_config with store_width = 1 }
                 fm ~pattern ~k);
           run "A() default" (fun stats -> Core.M_tree.search ~stats fm ~pattern ~k);
-          run "Hybrid (extension)" (fun stats ->
-              Core.Hybrid.search ~stats ~ptext fm ~pattern ~k);
         ])
       [ 2; 4; 6 ]
   in

@@ -191,9 +191,8 @@ let row_json r =
     r.timeouts r.dropped r.identical
 
 let run ?(obs = Obs.noop) ?(out = "BENCH_serve.json") ?(size = 200_000)
-    ?(seed = 42) ?(connections = [ 1; 2; 4; 8 ]) ?(queries = 2_000) ?(jobs = 0)
-    () =
-  let jobs = if jobs < 1 then Core.Work_pool.default_domains () else jobs in
+    ?(seed = 42) ?(connections = [ 1; 2; 4; 8 ]) ?(queries = 2_000)
+    ?(jobs = Core.Work_pool.default_domains ()) () =
   Printf.printf "\n==== serve: daemon throughput/latency vs connections ====\n%!";
   let st = Random.State.make [| seed |] in
   let text = Dna.Sequence.to_string (Dna.Sequence.random ~state:st size) in

@@ -24,35 +24,28 @@ let fail_typed ?path e =
     (Kmm_error.to_string e);
   exit (Kmm_error.exit_code e)
 
-let read_genome path =
+(* The records of a genome FASTA; a file with none is bad input. *)
+let read_genome_records path =
   match Dna.Fasta.try_read_file path with
   | Error e -> fail_typed ~path e
   | Ok [] -> fail_typed ~path (Kmm_error.Bad_input "no FASTA records")
-  | Ok (r :: _) -> r.Dna.Fasta.seq
+  | Ok records -> records
+
+let read_genome path = (List.hd (read_genome_records path)).Dna.Fasta.seq
 
 (* Every record of a FASTA file, concatenated — the corpus view a
    sharded index is built over. *)
 let read_genome_all path =
-  match Dna.Fasta.try_read_file path with
-  | Error e -> fail_typed ~path e
-  | Ok [] -> fail_typed ~path (Kmm_error.Bad_input "no FASTA records")
-  | Ok records ->
-      String.concat ""
-        (List.map (fun r -> Dna.Sequence.to_string r.Dna.Fasta.seq) records)
+  String.concat ""
+    (List.map
+       (fun r -> Dna.Sequence.to_string r.Dna.Fasta.seq)
+       (read_genome_records path))
 
-(* Either a FASTA genome (indexed on the fly) or a prebuilt .fmi index /
-   .fmi manifest; [--mmap] adopts prebuilt index files in place. *)
-let obtain_corpus ~mmap ~genome ~index_file =
-  let mode = if mmap then Some Fmindex.Fm_index.Mmap else None in
-  match (genome, index_file) with
-  | _, Some path -> (
-      match Core.Corpus.try_load ?mode path with
-      | Ok c -> c
-      | Error e -> fail_typed ~path e)
-  | Some path, None ->
-      Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome path))
-  | None, None ->
-      fail_typed (Kmm_error.Bad_input "one of --genome or --index is required")
+(* FASTA records to [-o FILE], or to stdout without it. *)
+let write_fasta out records =
+  match out with
+  | None -> print_string (Dna.Fasta.to_string records)
+  | Some path -> Dna.Fasta.write_file path records
 
 (* --- observability plumbing ----------------------------------------- *)
 
@@ -96,26 +89,83 @@ let with_obs ~trace ~metrics_out f =
 let pp_timings ppf timings =
   List.iter (fun (name, s) -> Format.fprintf ppf " %s=%.4fs" name s) timings
 
-let genome_arg =
-  Cmdliner.Arg.(
-    value & opt (some string) None
-    & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome FASTA file.")
+(* --- shared arguments -------------------------------------------------- *)
 
-let index_arg =
-  Cmdliner.Arg.(
-    value & opt (some string) None
-    & info [ "i"; "index" ] ~docv:"FMI"
-        ~doc:"Prebuilt index or shard manifest (see kmm index).")
+(* A count that must be at least 1.  Rejected at parse time, so a bad
+   value exits 2 like every other bad command-line argument. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+        Error (`Msg (Printf.sprintf "expected an integer >= 1, got %d" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let mmap_arg =
-  Cmdliner.Arg.(
-    value & flag
-    & info [ "mmap" ]
-        ~doc:
-          "Memory-map a prebuilt --index instead of copying it to the heap: \
-           cold start skips the O(n) payload verification and the OS shares \
-           the pages across processes.  Run kmm verify when integrity must \
-           be proven.  Ignored without --index.")
+let jobs_arg ~doc =
+  Arg.(
+    value
+    & opt positive_int (Core.Work_pool.default_domains ())
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let k_arg default =
+  Arg.(value & opt int default & info [ "k" ] ~doc:"Mismatch budget.")
+
+(* The genome FASTA a command reads (not a corpus: see [corpus_arg]). *)
+let genome_file_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome.")
+
+let fasta_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output FASTA.")
+
+(* --genome/--index/--mmap as one term.  It yields a loader rather than
+   the corpus, so a command checks its other arguments before it reads
+   anything: either a FASTA genome (indexed on the fly) or a prebuilt
+   .fmi index / .fmi manifest, which --mmap adopts in place. *)
+let corpus_arg =
+  let genome =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome FASTA file.")
+  in
+  let index_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "i"; "index" ] ~docv:"FMI"
+          ~doc:"Prebuilt index or shard manifest (see kmm index).")
+  in
+  let mmap =
+    Arg.(
+      value & flag
+      & info [ "mmap" ]
+          ~doc:
+            "Memory-map a prebuilt --index instead of copying it to the heap: \
+             cold start skips the O(n) payload verification and the OS \
+             shares the pages across processes.  Run kmm verify when \
+             integrity must be proven.  Ignored without --index.")
+  in
+  let load genome index_file mmap () =
+    let mode = if mmap then Some Fmindex.Fm_index.Mmap else None in
+    match (genome, index_file) with
+    | _, Some path -> (
+        match Core.Corpus.try_load ?mode path with
+        | Ok c -> c
+        | Error e -> fail_typed ~path e)
+    | Some path, None ->
+        Core.Corpus.mono (Core.Kmismatch.of_sequence (read_genome path))
+    | None, None ->
+        fail_typed
+          (Kmm_error.Bad_input "one of --genome or --index is required")
+  in
+  Term.(const load $ genome $ index_file $ mmap)
 
 (* --- generate ------------------------------------------------------- *)
 
@@ -135,10 +185,7 @@ let generate_cmd =
       | g -> g
       | exception Invalid_argument msg -> fail_typed (Kmm_error.Bad_input msg)
     in
-    let record = { Dna.Fasta.name = rec_name; seq = genome } in
-    (match out with
-    | None -> print_string (Dna.Fasta.to_string [ record ])
-    | Some path -> Dna.Fasta.write_file path [ record ]);
+    write_fasta out [ { Dna.Fasta.name = rec_name; seq = genome } ];
     `Ok ()
   in
   let size =
@@ -157,12 +204,9 @@ let generate_cmd =
     Arg.(value & opt float 0.02 & info [ "divergence" ] ~doc:"Repeat copy divergence.")
   in
   let rec_name = Arg.(value & opt string "synthetic" & info [ "name" ] ~doc:"Record name.") in
-  let out =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output FASTA.")
-  in
   Cmd.v
     (Cmd.info "generate" ~doc:"Synthesize a repeat-bearing genome")
-    Term.(ret (const run $ size $ seed $ rf $ ru $ div $ rec_name $ out))
+    Term.(ret (const run $ size $ seed $ rf $ ru $ div $ rec_name $ fasta_out_arg))
 
 (* --- simulate ------------------------------------------------------- *)
 
@@ -188,25 +232,20 @@ let simulate_cmd =
           })
         reads
     in
-    (match out with
-    | None -> print_string (Dna.Fasta.to_string records)
-    | Some path -> Dna.Fasta.write_file path records);
+    write_fasta out records;
     `Ok ()
-  in
-  let genome =
-    Arg.(required & opt (some string) None & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome.")
   in
   let count = Arg.(value & opt int 500 & info [ "n"; "count" ] ~doc:"Number of reads.") in
   let len = Arg.(value & opt int 100 & info [ "l"; "length" ] ~doc:"Read length.") in
   let er = Arg.(value & opt float 0.02 & info [ "e"; "error-rate" ] ~doc:"Substitution rate.") in
   let both = Arg.(value & flag & info [ "both-strands" ] ~doc:"Sample both strands.") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"RNG seed.") in
-  let out =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output FASTA.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate wgsim-style reads")
-    Term.(ret (const run $ genome $ count $ len $ er $ both $ seed $ out))
+    Term.(
+      ret
+        (const run $ genome_file_arg $ count $ len $ er $ both $ seed
+       $ fasta_out_arg))
 
 (* --- search --------------------------------------------------------- *)
 
@@ -229,8 +268,8 @@ let engine_arg =
   Arg.(value & opt engine_conv Core.Kmismatch.M_tree & info [ "engine" ] ~doc)
 
 let search_cmd =
-  let run genome index_file mmap pattern k engine verbose trace metrics_out =
-    let corpus = obtain_corpus ~mmap ~genome ~index_file in
+  let run load_corpus pattern k engine verbose trace metrics_out =
+    let corpus = load_corpus () in
     with_obs ~trace ~metrics_out (fun obs ->
         let r =
           (* The typed channel: an empty/non-ACGT pattern, k < 0, or a
@@ -256,23 +295,19 @@ let search_cmd =
   let pattern =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"PATTERN" ~doc:"Pattern (ACGT).")
   in
-  let k = Arg.(value & opt int 0 & info [ "k" ] ~doc:"Mismatch budget.") in
-  let engine = engine_arg in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print statistics.") in
   Cmd.v
     (Cmd.info "search" ~doc:"String matching with k mismatches")
     Term.(
       ret
-        (const run $ genome_arg $ index_arg $ mmap_arg $ pattern $ k $ engine
-       $ verbose $ trace_arg $ metrics_arg))
+        (const run $ corpus_arg $ pattern $ k_arg 0 $ engine_arg $ verbose
+       $ trace_arg $ metrics_arg))
 
 (* --- map ------------------------------------------------------------ *)
 
 let map_cmd =
-  let run genome index_file mmap reads k engine both_strands best jobs trace
-      metrics_out =
-    if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
-    let corpus = obtain_corpus ~mmap ~genome ~index_file in
+  let run load_corpus reads k engine both_strands best jobs trace metrics_out =
+    let corpus = load_corpus () in
     let records =
       match Dna.Fasta.try_read_file reads with
       | Ok rs -> rs
@@ -310,37 +345,27 @@ let map_cmd =
   let reads =
     Arg.(required & opt (some string) None & info [ "r"; "reads" ] ~docv:"FASTA" ~doc:"Reads.")
   in
-  let k = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Mismatch budget.") in
-  let engine = engine_arg in
   let both =
     Arg.(value & opt bool true & info [ "both-strands" ] ~doc:"Search both strands.")
   in
   let best = Arg.(value & flag & info [ "best" ] ~doc:"Keep only minimal-distance hits.") in
   let jobs =
-    Arg.(
-      value
-      & opt int (Core.Work_pool.default_domains ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains to map with (default: the number of cores). Output \
-             is byte-identical for every N; N=1 is the sequential path.")
+    jobs_arg
+      ~doc:
+        "Worker domains to map with (default: the number of cores). Output is \
+         byte-identical for every N; N=1 is the sequential path."
   in
   Cmd.v
     (Cmd.info "map" ~doc:"Map a read set against a genome")
     Term.(
       ret
-        (const run $ genome_arg $ index_arg $ mmap_arg $ reads $ k $ engine
-       $ both $ best $ jobs $ trace_arg $ metrics_arg))
+        (const run $ corpus_arg $ reads $ k_arg 4 $ engine_arg $ both $ best
+       $ jobs $ trace_arg $ metrics_arg))
 
 (* --- index ---------------------------------------------------------- *)
 
 let index_cmd =
   let run genome out shard_size overlap jobs =
-    if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
-    (match shard_size with
-    | Some s when s < 1 ->
-        fail_typed (Kmm_error.Bad_input "--shard-size must be >= 1")
-    | _ -> ());
     if overlap < 0 then
       fail_typed (Kmm_error.Bad_input "--shard-overlap must be >= 0");
     let corpus =
@@ -365,9 +390,6 @@ let index_cmd =
           ov);
     `Ok ()
   in
-  let genome =
-    Arg.(required & opt (some string) None & info [ "g"; "genome" ] ~docv:"FASTA" ~doc:"Genome.")
-  in
   let out =
     Arg.(
       required
@@ -378,7 +400,7 @@ let index_cmd =
   let shard_size =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "shard-size" ] ~docv:"N"
           ~doc:
             "Split the corpus into shards of $(docv) bp, indexed in parallel \
@@ -396,11 +418,7 @@ let index_cmd =
              matches are found; queries longer than N+1 bp are refused.")
   in
   let jobs =
-    Arg.(
-      value
-      & opt int (Core.Work_pool.default_domains ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains building shards (default: the number of cores).")
+    jobs_arg ~doc:"Worker domains building shards (default: the number of cores)."
   in
   Cmd.v
     (Cmd.info "index" ~doc:"Build and save an FM-index of a genome"
@@ -415,7 +433,7 @@ let index_cmd =
               index file per shard plus a manifest; search/map/serve accept \
               the manifest wherever they accept an index.";
          ])
-    Term.(ret (const run $ genome $ out $ shard_size $ overlap $ jobs))
+    Term.(ret (const run $ genome_file_arg $ out $ shard_size $ overlap $ jobs))
 
 (* --- verify --------------------------------------------------------- *)
 
@@ -674,10 +692,7 @@ let bench_cmd =
       & info [ "queries" ] ~docv:"N" ~doc:"serve: queries per sweep point.")
   in
   let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"serve: worker domains of the daemon (0 = all cores).")
+    jobs_arg ~doc:"serve: worker domains of the daemon (default: the number of cores)."
   in
   let smoke =
     Arg.(
@@ -711,14 +726,11 @@ let bench_cmd =
 (* --- serve ----------------------------------------------------------- *)
 
 let serve_cmd =
-  let run genome index_file mmap socket jobs batch_max max_queue send_timeout
-      max_pattern max_k max_hits max_frame quiet trace metrics_out =
-    if jobs < 1 then fail_typed (Kmm_error.Bad_input "--jobs must be >= 1");
-    if batch_max < 1 then fail_typed (Kmm_error.Bad_input "--batch-max must be >= 1");
-    if max_queue < 1 then fail_typed (Kmm_error.Bad_input "--max-queue must be >= 1");
+  let run load_corpus socket jobs batch_max max_queue send_timeout max_pattern
+      max_k max_hits max_frame quiet trace metrics_out =
     if not (send_timeout > 0.) then
       fail_typed (Kmm_error.Bad_input "--send-timeout must be > 0");
-    let corpus = obtain_corpus ~mmap ~genome ~index_file in
+    let corpus = load_corpus () in
     let limits =
       { Kmm_server.Protocol.max_pattern; max_k; max_hits; max_frame }
     in
@@ -748,21 +760,17 @@ let serve_cmd =
       & info [ "s"; "socket" ] ~docv:"PATH" ~doc:"Unix socket path to listen on.")
   in
   let jobs =
-    Arg.(
-      value
-      & opt int (Core.Work_pool.default_domains ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains answering queries (default: the number of cores).")
+    jobs_arg ~doc:"Worker domains answering queries (default: the number of cores)."
   in
   let batch_max =
     Arg.(
-      value & opt int 64
+      value & opt positive_int 64
       & info [ "batch-max" ] ~docv:"N"
           ~doc:"Most queued queries dispatched onto the pool as one batch.")
   in
   let max_queue =
     Arg.(
-      value & opt int 1024
+      value & opt positive_int 1024
       & info [ "max-queue" ] ~docv:"N"
           ~doc:
             "Bound on the admission queue; beyond it queries are shed \
@@ -819,9 +827,9 @@ let serve_cmd =
          ])
     Term.(
       ret
-        (const run $ genome_arg $ index_arg $ mmap_arg $ socket $ jobs
-       $ batch_max $ max_queue $ send_timeout $ max_pattern $ max_k $ max_hits
-       $ max_frame $ quiet $ trace_arg $ metrics_arg))
+        (const run $ corpus_arg $ socket $ jobs $ batch_max $ max_queue
+       $ send_timeout $ max_pattern $ max_k $ max_hits $ max_frame $ quiet
+       $ trace_arg $ metrics_arg))
 
 (* --- client ----------------------------------------------------------- *)
 
@@ -862,40 +870,29 @@ let client_cmd =
           exit code
       | Ok r -> r
     in
-    let field name fields =
-      match List.assoc_opt name fields with
-      | Some (P.Json.String s) -> s
-      | _ -> ""
+    (* One command round trip; [on_ok] gets the fields of the reply. *)
+    let command name on_ok =
+      match rpc (fun conn -> C.command conn name) with
+      | P.Ok_obj { fields; _ } ->
+          on_ok fields;
+          `Ok ()
+      | _ -> `Error (false, "unexpected reply")
     in
-    if ping then begin
+    if ping then
       let t0 = Unix.gettimeofday () in
-      match rpc (fun conn -> C.command conn "ping") with
-      | P.Ok_obj _ ->
-          Printf.printf "pong (%.2f ms)\n" ((Unix.gettimeofday () -. t0) *. 1e3);
-          `Ok ()
-      | _ -> `Error (false, "unexpected reply")
-    end
-    else if metrics then begin
-      match rpc (fun conn -> C.command conn "metrics") with
-      | P.Ok_obj { fields; _ } ->
-          print_string (field "metrics" fields);
-          `Ok ()
-      | _ -> `Error (false, "unexpected reply")
-    end
-    else if info then begin
-      match rpc (fun conn -> C.command conn "info") with
-      | P.Ok_obj { fields; _ } ->
-          print_endline (P.Json.to_string (P.Json.Obj fields));
-          `Ok ()
-      | _ -> `Error (false, "unexpected reply")
-    end
-    else if shutdown then begin
-      match rpc (fun conn -> C.command conn "shutdown") with
-      | P.Ok_obj _ ->
-          if verbose then Format.eprintf "daemon is draining@.";
-          `Ok ()
-      | _ -> `Error (false, "unexpected reply")
-    end
+      command "ping" (fun _ ->
+          Printf.printf "pong (%.2f ms)\n" ((Unix.gettimeofday () -. t0) *. 1e3))
+    else if metrics then
+      command "metrics" (fun fields ->
+          match List.assoc_opt "metrics" fields with
+          | Some (P.Json.String s) -> print_string s
+          | _ -> ())
+    else if info then
+      command "info" (fun fields ->
+          print_endline (P.Json.to_string (P.Json.Obj fields)))
+    else if shutdown then
+      command "shutdown" (fun _ ->
+          if verbose then Format.eprintf "daemon is draining@.")
     else
       match pattern with
       | None ->
@@ -922,8 +919,6 @@ let client_cmd =
   let pattern =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"PATTERN" ~doc:"Pattern (ACGT).")
   in
-  let k = Arg.(value & opt int 0 & info [ "k" ] ~doc:"Mismatch budget.") in
-  let engine = engine_arg in
   let ping = Arg.(value & flag & info [ "ping" ] ~doc:"Round-trip check.") in
   let metrics =
     Arg.(value & flag & info [ "metrics" ] ~doc:"Print the daemon's live Prometheus metrics.")
@@ -979,7 +974,7 @@ let client_cmd =
          ])
     Term.(
       ret
-        (const run $ socket $ pattern $ k $ engine $ ping $ metrics $ info_flag
+        (const run $ socket $ pattern $ k_arg 0 $ engine_arg $ ping $ metrics $ info_flag
        $ shutdown $ timeout $ retries $ deadline $ verbose))
 
 (* --- bwt ------------------------------------------------------------ *)
@@ -995,19 +990,19 @@ let bwt_cmd =
 let () =
   let doc = "string matching with k mismatches over BWT arrays (ICDE'17 reproduction)" in
   let info = Cmd.info "kmm" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        generate_cmd; simulate_cmd; index_cmd; verify_cmd; search_cmd; map_cmd;
+        fuzz_cmd; bench_cmd; serve_cmd; client_cmd; bwt_cmd;
+      ]
+  in
+  (* A command line cmdliner cannot parse (an unknown engine, [-k x],
+     [--jobs 0]) is bad input and exits 2 like every other bad argument;
+     the other outcomes keep cmdliner's own codes. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            generate_cmd;
-            simulate_cmd;
-            index_cmd;
-            verify_cmd;
-            search_cmd;
-            map_cmd;
-            fuzz_cmd;
-            bench_cmd;
-            serve_cmd;
-            client_cmd;
-            bwt_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+    | Error `Parse -> Kmm_error.exit_code (Kmm_error.Bad_input "")
+    | Error `Term -> Cmd.Exit.cli_error
+    | Error `Exn -> Cmd.Exit.internal_error)

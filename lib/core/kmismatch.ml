@@ -1,8 +1,6 @@
 type engine =
   | M_tree
   | S_tree
-  | S_tree_no_delta
-  | Hybrid
   | Cole
   | Amir
   | Kangaroo
@@ -71,200 +69,154 @@ let bidir t = Fmindex.Storage.Memo.force t.bidir
 (* ------------------------------------------------------------------ *)
 (* The engine table                                                     *)
 
-module Engine_registry = struct
-  type caps = { scales : bool }
+(* What [run] hands an engine: the validated query (pattern normalized
+   and nonempty, k clamped to [0, m]) plus the per-query sinks. *)
+type run_args = { pattern : string; k : int; stats : Stats.t; obs : Obs.t }
 
-  type run_args = {
-    pattern : string;
-    k : int;
-    stats : Stats.t;
-    obs : Obs.t;
-    config : M_tree.config option;
+type entry = {
+  engine : engine;
+  name : string;
+  scales : bool;
+  prepare : index -> unit;
+  run : index -> run_args -> (int * int) list;
+}
+
+let nothing (_ : index) = ()
+
+let force_text t =
+  ignore (text t);
+  ignore (packed_text t)
+
+let m_tree_entry =
+  {
+    engine = M_tree;
+    name = "m-tree";
+    scales = true;
+    prepare = nothing;
+    run =
+      (fun t a ->
+        M_tree.search ~stats:a.stats ~obs:a.obs t.fm_rev ~pattern:a.pattern
+          ~k:a.k);
   }
 
-  type entry = {
-    engine : engine;
-    name : string;
-    doc : string;
-    caps : caps;
-    prepare : index -> unit;
-    run : index -> run_args -> (int * int) list;
+let s_tree_entry =
+  {
+    engine = S_tree;
+    name = "s-tree";
+    scales = true;
+    prepare = nothing;
+    run =
+      (fun t a ->
+        S_tree.search ~use_delta:true ~stats:a.stats ~obs:a.obs t.fm_rev
+          ~pattern:a.pattern ~k:a.k);
   }
 
-  let nothing (_ : index) = ()
+let cole_entry =
+  {
+    engine = Cole;
+    name = "cole";
+    scales = false;
+    prepare = (fun t -> ignore (suffix_tree t));
+    run =
+      (fun t a ->
+        Cole.search ~stats:a.stats (suffix_tree t) ~pattern:a.pattern ~k:a.k);
+  }
 
-  let force_text t =
-    ignore (text t);
-    ignore (packed_text t)
+let amir_entry =
+  {
+    engine = Amir;
+    name = "amir";
+    scales = false;
+    prepare = force_text;
+    run =
+      (fun t a ->
+        Amir.search ~stats:a.stats ~ptext:(packed_text t) ~pattern:a.pattern
+          ~k:a.k (text t));
+  }
 
-  let m_tree =
-    {
-      engine = M_tree;
-      name = "m-tree";
-      doc = "the paper's Algorithm A: BWT search with mismatching-tree reuse";
-      caps = { scales = true };
-      prepare = nothing;
-      run =
-        (fun t a ->
-          M_tree.search ?config:a.config ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    }
+let kangaroo_entry =
+  {
+    engine = Kangaroo;
+    name = "kangaroo";
+    scales = false;
+    prepare = force_text;
+    run =
+      (fun t a ->
+        Stringmatch.Kangaroo.search ~ptext:(packed_text t) ~pattern:a.pattern
+          ~k:a.k (text t));
+  }
 
-  let s_tree =
-    {
-      engine = S_tree;
-      name = "s-tree";
-      doc = "the BWT baseline of ref. [34] with the delta heuristic";
-      caps = { scales = true };
-      prepare = nothing;
-      run =
-        (fun t a ->
-          S_tree.search ~use_delta:true ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    }
+let naive_entry =
+  {
+    engine = Naive;
+    name = "naive";
+    scales = false;
+    prepare = (fun t -> ignore (text t));
+    run =
+      (fun t a ->
+        Stringmatch.Hamming.search ~pattern:a.pattern ~text:(text t) ~k:a.k);
+  }
 
-  let s_tree_no_delta =
-    {
-      engine = S_tree_no_delta;
-      name = "s-tree-nodelta";
-      doc = "the BWT baseline without the delta heuristic";
-      caps = { scales = true };
-      prepare = nothing;
-      run =
-        (fun t a ->
-          S_tree.search ~use_delta:false ~stats:a.stats ~obs:a.obs t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    }
+let bidir_entry =
+  {
+    engine = Bidir;
+    name = "bidir";
+    scales = true;
+    prepare =
+      (fun t ->
+        ignore (bidir t);
+        ignore (packed_text t));
+    run =
+      (fun t a ->
+        Oss.search ~stats:a.stats ~obs:a.obs ~ptext:(packed_text t) (bidir t)
+          ~pattern:a.pattern ~k:a.k);
+  }
 
-  let hybrid =
-    {
-      engine = Hybrid;
-      name = "hybrid";
-      doc = "FM search to a unique row, then word-parallel verification";
-      caps = { scales = true };
-      prepare = (fun t -> ignore (packed_text t));
-      run =
-        (fun t a ->
-          Hybrid.search ~stats:a.stats ~ptext:(packed_text t) t.fm_rev
-            ~pattern:a.pattern ~k:a.k);
-    }
+(* Table order is presentation order everywhere (CLI help, oracle
+   subjects, benches): the order the variant declares. *)
+let table =
+  [
+    m_tree_entry;
+    s_tree_entry;
+    cole_entry;
+    amir_entry;
+    kangaroo_entry;
+    naive_entry;
+    bidir_entry;
+  ]
 
-  let cole =
-    {
-      engine = Cole;
-      name = "cole";
-      doc = "suffix-tree brute force (ref. [14])";
-      caps = { scales = false };
-      prepare = (fun t -> ignore (suffix_tree t));
-      run =
-        (fun t a ->
-          Cole.search ~stats:a.stats (suffix_tree t) ~pattern:a.pattern ~k:a.k);
-    }
+(* A match rather than a list search: a constructor without an entry
+   fails the exhaustiveness check, and the per-query lookup is a jump. *)
+let find = function
+  | M_tree -> m_tree_entry
+  | S_tree -> s_tree_entry
+  | Cole -> cole_entry
+  | Amir -> amir_entry
+  | Kangaroo -> kangaroo_entry
+  | Naive -> naive_entry
+  | Bidir -> bidir_entry
 
-  let amir =
-    {
-      engine = Amir;
-      name = "amir";
-      doc = "online mark-and-verify (ref. [2])";
-      caps = { scales = false };
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Amir.search ~stats:a.stats ~ptext:(packed_text t) ~pattern:a.pattern
-            ~k:a.k (text t));
-    }
+(* Names are compared with separators stripped and case folded, so
+   "m-tree", "m_tree" and "MTree" coincide. *)
+let normalize name =
+  String.to_seq (String.lowercase_ascii name)
+  |> Seq.filter (fun c -> c <> '-' && c <> '_')
+  |> String.of_seq
 
-  let kangaroo =
-    {
-      engine = Kangaroo;
-      name = "kangaroo";
-      doc = "online O(kn) Landau-Vishkin kangaroo jumps";
-      caps = { scales = false };
-      prepare = force_text;
-      run =
-        (fun t a ->
-          Stringmatch.Kangaroo.search ~ptext:(packed_text t)
-            ~pattern:a.pattern ~k:a.k (text t));
-    }
+let find_name name =
+  let key = normalize name in
+  List.find_opt (fun e -> normalize e.name = key) table
 
-  let naive =
-    {
-      engine = Naive;
-      name = "naive";
-      doc = "online O(mn) scanning reference";
-      caps = { scales = false };
-      prepare = (fun t -> ignore (text t));
-      run =
-        (fun t a ->
-          Stringmatch.Hamming.search ~pattern:a.pattern ~text:(text t) ~k:a.k);
-    }
-
-  let bidir =
-    {
-      engine = Bidir;
-      name = "bidir";
-      doc =
-        "bidirectional FM-index executing optimum search schemes (Kianfar & \
-         Pockrandt)";
-      caps = { scales = true };
-      prepare =
-        (fun t ->
-          ignore (bidir t);
-          ignore (packed_text t));
-      run =
-        (fun t a ->
-          Oss.search ~stats:a.stats ~obs:a.obs ~ptext:(packed_text t)
-            (bidir t) ~pattern:a.pattern ~k:a.k);
-    }
-
-  (* Table order is presentation order everywhere (CLI help, oracle
-     subjects, benches): the order the variant declares. *)
-  let table =
-    [ m_tree; s_tree; s_tree_no_delta; hybrid; cole; amir; kangaroo; naive; bidir ]
-
-  (* A match rather than a list search: a constructor without an entry
-     fails the exhaustiveness check, and the per-query lookup is a
-     jump. *)
-  let find = function
-    | M_tree -> m_tree
-    | S_tree -> s_tree
-    | S_tree_no_delta -> s_tree_no_delta
-    | Hybrid -> hybrid
-    | Cole -> cole
-    | Amir -> amir
-    | Kangaroo -> kangaroo
-    | Naive -> naive
-    | Bidir -> bidir
-
-  (* Names are compared with separators stripped and case folded, so
-     "s-tree-nodelta", "s_tree_no_delta" and "STreeNoDelta" coincide. *)
-  let normalize name =
-    String.to_seq (String.lowercase_ascii name)
-    |> Seq.filter (fun c -> c <> '-' && c <> '_')
-    |> String.of_seq
-
-  let find_name name =
-    let key = normalize name in
-    List.find_opt (fun e -> normalize e.name = key) table
-
-  let all () = table
-  let names () = List.map (fun e -> e.name) table
-end
-
-let all_engines () =
-  List.map (fun e -> e.Engine_registry.engine) (Engine_registry.all ())
-
-let engine_name e = (Engine_registry.find e).Engine_registry.name
-let engine_names () = Engine_registry.names ()
-
-let engine_of_string s =
-  Option.map
-    (fun e -> e.Engine_registry.engine)
-    (Engine_registry.find_name s)
+let all_engines () = List.map (fun e -> e.engine) table
+let engine_name e = (find e).name
+let engine_names () = List.map (fun e -> e.name) table
+let engine_of_string s = Option.map (fun e -> e.engine) (find_name s)
+let prepare t e = (find e).prepare t
+let scales e = (find e).scales
 
 let engine_of_string_err s =
-  match Engine_registry.find_name s with
-  | Some e -> Ok e.Engine_registry.engine
+  match engine_of_string s with
+  | Some e -> Ok e
   | None ->
       Error
         (Kmm_error.Bad_input
@@ -276,14 +228,13 @@ module Query = struct
     engine : engine;
     pattern : string;
     k : int;
-    config : M_tree.config option;
     obs : Obs.t;
     deadline : Deadline.t;
   }
 
-  let make ?config ?(obs = Obs.noop) ?(deadline = Deadline.none) ~engine
-      ~pattern ~k () =
-    { engine; pattern; k; config; obs; deadline }
+  let make ?(obs = Obs.noop) ?(deadline = Deadline.none) ~engine ~pattern ~k
+      () =
+    { engine; pattern; k; obs; deadline }
 end
 
 module Response = struct
@@ -337,10 +288,9 @@ let validate (q : Query.t) =
   | Error msg -> Error (Kmm_error.Bad_input msg)
   | Ok "" -> Error (Kmm_error.Bad_input "empty pattern")
   | Ok _ when q.k < 0 -> Error (Kmm_error.Bad_input "negative k")
-  | Ok pattern -> Ok (pattern, Engine_registry.find q.engine)
+  | Ok pattern -> Ok (pattern, find q.engine)
 
-let run_validated t (q : Query.t) ~obs ~t0 ~pattern
-    ~(entry : Engine_registry.entry) =
+let run_validated t (q : Query.t) ~obs ~t0 ~pattern ~entry =
   (* Degenerate budgets are uniform across engines: a window holds at
      most m mismatches, so k >= m answers every window position at its
      true distance.  Clamping here (and in each engine, for direct
@@ -365,7 +315,7 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
     Obs.span obs "query"
       ~args:
         [
-          ("engine", entry.Engine_registry.name);
+          ("engine", entry.name);
           ("k", string_of_int k);
           ("m", string_of_int (String.length pattern));
         ]
@@ -374,9 +324,7 @@ let run_validated t (q : Query.t) ~obs ~t0 ~pattern
            for every engine: the tree/BWT engines are not written for
            this degenerate case and used to fall through to it. *)
         if String.length pattern > length t then []
-        else
-          entry.Engine_registry.run t
-            { Engine_registry.pattern; k; stats; obs; config = q.config })
+        else entry.run t { pattern; k; stats; obs })
   in
   let t2 = Obs.Clock.now_ns () in
   if Obs.enabled obs then begin

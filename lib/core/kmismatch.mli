@@ -5,17 +5,12 @@
     [(position, distance)] occurrences.  All engines return identical
     results — they differ only in cost.  The one query call is {!run}
     (or {!try_run}, which reports bad input as a value); the engines are
-    a closed variant, and one static table ({!Engine_registry}) carries
-    each engine's name, doc line, capabilities and search function. *)
+    a closed variant, and one private static table carries each engine's
+    name, its scaling flag, what it prepares and its search function. *)
 
 type engine =
   | M_tree  (** the paper's Algorithm A, O(kn' + n + m log m) *)
   | S_tree  (** the BWT baseline of ref. [34] with the delta heuristic *)
-  | S_tree_no_delta  (** the same baseline without the delta heuristic *)
-  | Hybrid
-      (** FM search to a unique row, then direct verification (an
-          extension beyond the paper, in the style of practical
-          aligners) *)
   | Cole  (** suffix-tree brute force (ref. [14]) *)
   | Amir  (** online mark-and-verify (ref. [2]) *)
   | Kangaroo  (** online O(kn) Landau-Vishkin *)
@@ -27,73 +22,26 @@ type engine =
 (** The engines, in presentation order: CLI help, the server's engine
     list, the fuzz oracle's subjects and the engines bench all list them
     in this order.  Adding an engine means one constructor here and one
-    entry in {!Engine_registry}; a constructor without an entry fails
-    the exhaustiveness check of {!Engine_registry.find}. *)
+    entry in the table of kmismatch.ml; a constructor without an entry
+    fails that table's exhaustiveness check. *)
 
 type index
 
-(** {1 The engine table}
+(** {1 Engines}
 
-    One static table drives everything that enumerates or dispatches
-    engines.  An entry carries the engine value, its wire/CLI name, a
-    one-line doc string, capability flags, a pre-forcing hook for the
-    mapper's parallel fan-out, and the search function itself.
-    {!all_engines}, {!engine_name}, {!engine_of_string}, the CLI's
-    [--engine] help, the server's engine parsing and the oracle's
-    subject list are all derived views of this table. *)
-module Engine_registry : sig
-  type caps = {
-    scales : bool;
-        (** cheap enough per query to join large-text benchmark
-            campaigns (excludes the O(mn)/O(kn)-per-window references) *)
-  }
-
-  type run_args = {
-    pattern : string;  (** validated, normalized, nonempty *)
-    k : int;  (** clamped to the pattern length, nonnegative *)
-    stats : Stats.t;  (** per-query counter sink *)
-    obs : Obs.t;  (** per-query observability sink *)
-    config : M_tree.config option;  (** engine tuning; most ignore it *)
-  }
-  (** What {!Kmismatch.run} hands an engine: the validated query plus
-      the per-query sinks. *)
-
-  type entry = {
-    engine : engine;  (** the constructor this entry answers *)
-    name : string;
-        (** wire/CLI name, lowercase with [-] separators; looked up
-            spelling-insensitively (see {!Kmismatch.engine_of_string}) *)
-    doc : string;  (** one line for [--engine] help *)
-    caps : caps;
-    prepare : index -> unit;
-        (** force the derived index components this engine reads, so a
-            parallel fan-out does not serialize on the first query *)
-    run : index -> run_args -> (int * int) list;
-        (** answer one validated query: every [(position, distance)]
-            with [distance <= k], ascending by position *)
-  }
-
-  val all : unit -> entry list
-  (** Every entry, in {!engine} declaration order. *)
-
-  val find : engine -> entry
-  val find_name : string -> entry option
-  (** Lookup by engine value / by name ([-]/[_]-insensitive, case
-      folded). *)
-
-  val names : unit -> string list
-end
+    Every function here is a view of the one engine table. *)
 
 val all_engines : unit -> engine list
-(** Every engine, in declaration order ({!Engine_registry.all}). *)
+(** Every engine, in declaration order. *)
 
 val engine_name : engine -> string
-(** The table name of an engine ("m-tree", "bidir", ...). *)
+(** The wire/CLI name of an engine ("m-tree", "bidir", ...): lowercase
+    with [-] separators. *)
 
 val engine_of_string : string -> engine option
 (** Parse an engine name.  Case-insensitive, and [-]/[_] are
-    interchangeable (and optional): ["s-tree-nodelta"],
-    ["s_tree_no_delta"] and ["STreeNoDelta"] all name [S_tree_no_delta]. *)
+    interchangeable (and optional): ["m-tree"], ["m_tree"] and
+    ["MTree"] all name [M_tree]. *)
 
 val engine_of_string_err : string -> (engine, Kmm_error.t) result
 (** {!engine_of_string} with a typed rejection: an unknown name comes
@@ -101,7 +49,17 @@ val engine_of_string_err : string -> (engine, Kmm_error.t) result
     engine name. *)
 
 val engine_names : unit -> string list
-(** The engine names, declaration order ({!Engine_registry.names}). *)
+(** The engine names, in declaration order. *)
+
+val prepare : index -> engine -> unit
+(** Force the derived index components the engine reads (text, packed
+    text, suffix tree, bidirectional index), so a parallel fan-out does
+    not serialize on the first query. *)
+
+val scales : engine -> bool
+(** Whether the engine is cheap enough per query to join large-text
+    benchmark campaigns; false for the O(mn)/O(kn)-per-window online
+    references and the suffix-tree brute force. *)
 
 val build_index : ?occ_rate:int -> ?sa_rate:int -> string -> index
 (** Build the shared index of a target text (lowercase [acgt]; validated
@@ -157,8 +115,6 @@ module Query : sig
     engine : engine;  (** which algorithm answers the query *)
     pattern : string;  (** raw pattern; normalized (case) by {!run} *)
     k : int;  (** mismatch budget; clamped to [length pattern] *)
-    config : M_tree.config option;
-        (** [M_tree] tuning; ignored by other engines *)
     obs : Obs.t;
         (** sink receiving the [query] span, [engine.*]/[fm.*] counters
             and engine-internal spans; {!Obs.noop} disables all of it *)
@@ -171,7 +127,6 @@ module Query : sig
   }
 
   val make :
-    ?config:M_tree.config ->
     ?obs:Obs.t ->
     ?deadline:Deadline.t ->
     engine:engine ->
@@ -179,8 +134,10 @@ module Query : sig
     k:int ->
     unit ->
     t
-  (** Build a query.  [obs] defaults to {!Obs.noop}, [config] to the
-      engine's own default, [deadline] to {!Deadline.none}. *)
+  (** Build a query.  [obs] defaults to {!Obs.noop}, [deadline] to
+      {!Deadline.none}.  Engine tuning (such as {!M_tree.config}) is not
+      a query setting: callers that study it call the engine module
+      directly. *)
 end
 
 module Response : sig

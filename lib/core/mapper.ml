@@ -70,7 +70,7 @@ let target_of_index index =
            but forcing the ones the run needs before fan-out keeps the
            workers from serializing on the first force.  Each engine
            table entry knows what its engine reads. *)
-        (Kmismatch.Engine_registry.find engine).prepare index;
+        Kmismatch.prepare index engine;
         (* Hit re-checking runs the packed kernel for every engine. *)
         ignore (Kmismatch.packed_text index));
     tgt_run = (fun q -> Kmismatch.try_run index q);

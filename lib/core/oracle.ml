@@ -41,6 +41,19 @@ let query idx engine c =
 let engine_subject e =
   { sub_name = Kmismatch.engine_name e; run = (fun idx c -> Some (query idx e c)) }
 
+(* The delta-free S-tree is a setting of [S_tree.search], not an engine
+   of the table; it keeps its former engine name so a divergence report
+   still means the same thing. *)
+let s_tree_nodelta =
+  {
+    sub_name = "s-tree-nodelta";
+    run =
+      (fun idx c ->
+        Some
+          (S_tree.search ~use_delta:false (Kmismatch.fm_rev idx)
+             ~pattern:c.pattern ~k:c.k));
+  }
+
 let kangaroo_direct =
   {
     sub_name = "kangaroo-direct";
@@ -202,6 +215,7 @@ let bidir_find_all =
 let default_subjects () =
   List.map engine_subject (Kmismatch.all_engines ())
   @ [
+      s_tree_nodelta;
       kangaroo_direct;
       shift_add;
       packed_verify;

@@ -55,8 +55,9 @@ type subject = {
 }
 
 val default_subjects : unit -> subject list
-(** Every engine of {!Kmismatch.all_engines}, in table order, plus two
-    index-free baselines —
+(** Every engine of {!Kmismatch.all_engines}, in table order, plus the
+    delta-free S-tree ([s-tree-nodelta]: {!S_tree.search} with
+    [~use_delta:false] on the shared index), two index-free baselines —
     the online Kangaroo matcher and (when [Shift_or.fits]) the
     bit-parallel Shift-Add automaton — a [packed-verify] subject that
     answers every case by scanning all windows with the word-parallel

@@ -219,12 +219,15 @@ let test_engine_spellings () =
       ("m-tree", Kmismatch.M_tree);
       ("m_tree", Kmismatch.M_tree);
       ("MTree", Kmismatch.M_tree);
-      ("s-tree-nodelta", Kmismatch.S_tree_no_delta);
-      ("s_tree_no_delta", Kmismatch.S_tree_no_delta);
-      ("S-Tree-No-Delta", Kmismatch.S_tree_no_delta);
+      ("S-TREE", Kmismatch.S_tree);
       ("KANGAROO", Kmismatch.Kangaroo);
     ];
-  check bool "unknown rejected" true (Kmismatch.engine_of_string "warp" = None)
+  List.iter
+    (fun name ->
+      check bool (name ^ " rejected") true
+        (Kmismatch.engine_of_string name = None))
+    (* "hybrid" and "s-tree-nodelta" named engines that are retired. *)
+    [ "warp"; "hybrid"; "s-tree-nodelta"; "s_tree_no_delta" ]
 
 let test_engine_of_string_err () =
   match Kmismatch.engine_of_string_err "warp" with
@@ -235,11 +238,13 @@ let test_engine_of_string_err () =
         let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
         go 0
       in
-      List.iter
-        (fun name ->
-          check bool (Printf.sprintf "message lists %S" name) true
-            (contains msg name))
-        (Kmismatch.engine_names ())
+      let names =
+        [ "m-tree"; "s-tree"; "cole"; "amir"; "kangaroo"; "naive"; "bidir" ]
+      in
+      check (Alcotest.list Alcotest.string) "the seven engines" names
+        (Kmismatch.engine_names ());
+      check bool "message lists exactly the seven" true
+        (contains msg ("(valid: " ^ String.concat ", " names ^ ")"))
   | Error e ->
       Alcotest.failf "wrong error class: %s" (Kmm_error.to_string e)
 
@@ -248,19 +253,17 @@ let test_engine_of_string_err () =
 
 let test_table_derived_views () =
   List.iter
-    (fun (e : Kmismatch.Engine_registry.entry) ->
-      let name = e.name in
+    (fun engine ->
+      let name = Kmismatch.engine_name engine in
       check bool (name ^ " in engine_names (CLI help source)") true
         (List.mem name (Kmismatch.engine_names ()));
       check bool (name ^ " round-trips engine_of_string") true
-        (Kmismatch.engine_of_string name = Some e.engine);
-      check Alcotest.string (name ^ " named") name
-        (Kmismatch.engine_name e.engine);
+        (Kmismatch.engine_of_string name = Some engine);
       check bool (name ^ " in the oracle subject list") true
         (List.exists
            (fun s -> s.Oracle.sub_name = name)
            (Oracle.default_subjects ())))
-    (Kmismatch.Engine_registry.all ())
+    (Kmismatch.all_engines ())
 
 (* ------------------------------------------------------------------ *)
 

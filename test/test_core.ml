@@ -134,7 +134,22 @@ let test_intro_example () =
         (List.mem (2, 4) got))
     (Kmismatch.all_engines ())
 
-let engines_under_test = (Kmismatch.all_engines ())
+(* Every engine of the table, plus the delta-free S-tree — a setting of
+   [S_tree.search], not an engine — under its former engine name. *)
+let engines_under_test =
+  List.concat_map
+    (fun engine ->
+      let subject = (Kmismatch.engine_name engine, Test_util.hits ~engine) in
+      if engine <> Kmismatch.S_tree then [ subject ]
+      else
+        [
+          subject;
+          ( "s-tree-nodelta",
+            fun idx ~pattern ~k ->
+              S_tree.search ~use_delta:false (Kmismatch.fm_rev idx) ~pattern ~k
+          );
+        ])
+    (Kmismatch.all_engines ())
 
 let agreement_case ~count ~tlo ~thi ~plo ~phi ~kmax name =
   let gen =
@@ -145,13 +160,13 @@ let agreement_case ~count ~tlo ~thi ~plo ~phi ~kmax name =
         (int_range 0 kmax))
   in
   List.map
-    (fun engine ->
+    (fun (engine, hits) ->
       Test_util.qtest ~count
-        (Printf.sprintf "%s: %s = oracle" name (Kmismatch.engine_name engine))
+        (Printf.sprintf "%s: %s = oracle" name engine)
         gen
         (fun (text, pattern, k) ->
           let idx = Kmismatch.build_index text in
-          Test_util.hits idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
+          hits idx ~pattern ~k = oracle ~pattern ~text ~k))
     engines_under_test
 
 (* Planted occurrences: mutate a window of the text into the pattern with
@@ -175,13 +190,13 @@ let gen_planted =
 
 let planted_agreement =
   List.map
-    (fun engine ->
+    (fun (engine, hits) ->
       Test_util.qtest ~count:200
-        (Printf.sprintf "planted: %s = oracle" (Kmismatch.engine_name engine))
+        (Printf.sprintf "planted: %s = oracle" engine)
         gen_planted
         (fun (text, pattern, k) ->
           let idx = Kmismatch.build_index text in
-          Test_util.hits idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
+          hits idx ~pattern ~k = oracle ~pattern ~text ~k))
     engines_under_test
 
 (* Repetitive texts are where derivations actually fire; build them from a
@@ -197,13 +212,13 @@ let gen_repetitive =
 
 let repetitive_agreement =
   List.map
-    (fun engine ->
+    (fun (engine, hits) ->
       Test_util.qtest ~count:300
-        (Printf.sprintf "repetitive: %s = oracle" (Kmismatch.engine_name engine))
+        (Printf.sprintf "repetitive: %s = oracle" engine)
         gen_repetitive
         (fun (text, pattern, k) ->
           let idx = Kmismatch.build_index text in
-          Test_util.hits idx ~engine ~pattern ~k = oracle ~pattern ~text ~k))
+          hits idx ~pattern ~k = oracle ~pattern ~text ~k))
     engines_under_test
 
 let test_edge_cases () =
@@ -262,16 +277,12 @@ let test_pattern_case_normalized () =
 let test_m_tree_chain_skip_equivalence =
   Test_util.qtest ~count:300 "m-tree: chain_skip on = off" gen_repetitive
     (fun (text, pattern, k) ->
-      let idx = Kmismatch.build_index text in
-      let with_skip =
-        Test_util.hits ~config:{ M_tree.default_config with M_tree.chain_skip = true } idx
-          ~engine:Kmismatch.M_tree ~pattern ~k
+      let fm = Kmismatch.fm_rev (Kmismatch.build_index text) in
+      let search chain_skip =
+        M_tree.search ~config:{ M_tree.default_config with chain_skip } fm
+          ~pattern ~k
       in
-      let without =
-        Test_util.hits ~config:{ M_tree.default_config with M_tree.chain_skip = false } idx
-          ~engine:Kmismatch.M_tree ~pattern ~k
-      in
-      with_skip = without)
+      search true = search false)
 
 let test_m_tree_derivations_fire () =
   (* On a repetitive genome the hash table must hit: derivations > 0. *)
@@ -292,10 +303,17 @@ let test_m_tree_cheaper_than_s_tree () =
   in
   let idx = Kmismatch.build_index text in
   let pattern = "acgtagctacgtagct" in
-  let run engine = Kmismatch.run idx (Kmismatch.Query.make ~engine ~pattern ~k:3 ()) in
-  let s = run Kmismatch.S_tree_no_delta and m = run Kmismatch.M_tree in
-  let s_stats = s.Kmismatch.Response.stats and m_stats = m.Kmismatch.Response.stats in
-  check hits "same results" s.Kmismatch.Response.hits m.Kmismatch.Response.hits;
+  let s_stats = Stats.create () in
+  let s_hits =
+    S_tree.search ~use_delta:false ~stats:s_stats (Kmismatch.fm_rev idx)
+      ~pattern ~k:3
+  in
+  let m =
+    Kmismatch.run idx
+      (Kmismatch.Query.make ~engine:Kmismatch.M_tree ~pattern ~k:3 ())
+  in
+  let m_stats = m.Kmismatch.Response.stats in
+  check hits "same results" s_hits m.Kmismatch.Response.hits;
   check bool
     (Printf.sprintf "fewer rank calls (m=%d s=%d)" m_stats.Stats.rank_calls
        s_stats.Stats.rank_calls)
@@ -308,7 +326,7 @@ let test_s_tree_delta_soundness =
     (fun (text, pattern, k) ->
       let idx = Kmismatch.build_index text in
       Test_util.hits idx ~engine:Kmismatch.S_tree ~pattern ~k
-      = Test_util.hits idx ~engine:Kmismatch.S_tree_no_delta ~pattern ~k)
+      = S_tree.search ~use_delta:false (Kmismatch.fm_rev idx) ~pattern ~k)
 
 let test_delta_heuristic_paper_example () =
   (* §IV.A: r = tcaca over s = acagaca: delta(1) = 2 (t absent; cac

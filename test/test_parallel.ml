@@ -146,7 +146,7 @@ let test_equivalence_other_engines () =
         true
         ((sh, Mapper.deterministic_summary ss)
         = (ph, Mapper.deterministic_summary ps)))
-    [ Kmismatch.S_tree; Kmismatch.Hybrid; Kmismatch.Kangaroo; Kmismatch.Cole ]
+    [ Kmismatch.S_tree; Kmismatch.Bidir; Kmismatch.Kangaroo; Kmismatch.Cole ]
 
 let test_invalid_args () =
   (match run_map ~domains:0 [] 1 with

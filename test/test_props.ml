@@ -174,34 +174,14 @@ let prop_shift_table_periodic =
         (List.init (m - 1) (fun i -> i + 1)))
 
 (* ------------------------------------------------------------------ *)
-(* Hybrid and Amir engine specifics                                     *)
+(* Amir engine specifics                                                *)
 
 let short_ptext = Fmindex.Packed_text.of_string "acgt"
-
-let test_hybrid_rejects_mismatched_text () =
-  let idx = Kmismatch.build_index "acgtacgt" in
-  match
-    Hybrid.search ~ptext:short_ptext (Kmismatch.fm_rev idx) ~pattern:"acg" ~k:1
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
 
 let test_amir_rejects_mismatched_text () =
   match Amir.search ~ptext:short_ptext ~pattern:"acg" ~k:1 "acgtacgt" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
-
-let prop_hybrid_unique_path =
-  (* Texts with no repeats at all force the hybrid engine onto its direct
-     verification path almost immediately. *)
-  Test_util.qtest ~count:200 "hybrid on random text = oracle"
-    QCheck2.Gen.(
-      tup3 (Test_util.dna_gen ~lo:50 ~hi:400 ()) (Test_util.dna_gen ~lo:5 ~hi:30 ())
-        (int_range 0 4))
-    (fun (text, pattern, k) ->
-      let idx = Kmismatch.build_index text in
-      Test_util.hits idx ~engine:Kmismatch.Hybrid ~pattern ~k
-      = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)
 (* Stats accounting                                                     *)
@@ -229,7 +209,7 @@ let test_stats_populated_by_engines () =
         true
         (stats.Stats.rank_calls > 0 || stats.Stats.nodes > 0
         || stats.Stats.leaves > 0))
-    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Hybrid; Kmismatch.Cole ]
+    [ Kmismatch.M_tree; Kmismatch.S_tree; Kmismatch.Bidir; Kmismatch.Cole ]
 
 (* ------------------------------------------------------------------ *)
 (* M-tree configuration space                                           *)
@@ -248,7 +228,7 @@ let prop_m_tree_all_configs =
         (int_range 0 4) config_gen)
     (fun (text, pattern, k, config) ->
       let idx = Kmismatch.build_index text in
-      Test_util.hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      M_tree.search ~config (Kmismatch.fm_rev idx) ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 let prop_m_tree_repetitive_configs =
@@ -261,7 +241,7 @@ let prop_m_tree_repetitive_configs =
     (fun (unit_str, (reps, pattern), k, config) ->
       let text = String.concat "" (List.init reps (fun _ -> unit_str)) in
       let idx = Kmismatch.build_index text in
-      Test_util.hits ~config idx ~engine:Kmismatch.M_tree ~pattern ~k
+      M_tree.search ~config (Kmismatch.fm_rev idx) ~pattern ~k
       = Stringmatch.Hamming.search ~pattern ~text ~k)
 
 (* ------------------------------------------------------------------ *)
@@ -367,11 +347,6 @@ let () =
       ("bwt_invariants", [ prop_rank_correspondence; prop_locate_whole ]);
       ("delta", [ prop_delta ]);
       ("mismatch_array", [ prop_shift_table_naive; prop_shift_table_periodic ]);
-      ( "hybrid",
-        [
-          Alcotest.test_case "text length check" `Quick test_hybrid_rejects_mismatched_text;
-          prop_hybrid_unique_path;
-        ] );
       ( "amir",
         [ Alcotest.test_case "text length check" `Quick test_amir_rejects_mismatched_text ] );
       ( "stats",

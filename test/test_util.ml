@@ -14,6 +14,6 @@ let random_dna st n =
   String.init n (fun _ -> [| 'a'; 'c'; 'g'; 't' |].(Random.State.int st 4))
 
 (* The hits of one query through the library's entry point. *)
-let hits ?config idx ~engine ~pattern ~k =
-  (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ?config ~engine ~pattern ~k ()))
+let hits idx ~engine ~pattern ~k =
+  (Core.Kmismatch.run idx (Core.Kmismatch.Query.make ~engine ~pattern ~k ()))
     .Core.Kmismatch.Response.hits
